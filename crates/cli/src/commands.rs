@@ -562,6 +562,14 @@ fn su_storm(
         println!("halt sent: SDC and STP drain after this storm");
     }
 
+    // Close the observation window before the verify replay: the
+    // in-memory baseline runs its own SU sessions plus the SDC/STP
+    // phases, none of which happened on this node.
+    let obs_report = observing.then(|| {
+        pisa_obs::set_enabled(false);
+        pisa_obs::report()
+    });
+
     let mut verified_ok = true;
     if verify {
         println!("\nverify: replaying the storm on the in-memory engine...");
@@ -592,16 +600,12 @@ fn su_storm(
     }
 
     let mut exports_ok = true;
-    if observing {
-        pisa_obs::set_enabled(false);
-        let obs_report = pisa_obs::report();
-        if let Some(path) = metrics_out {
-            let mut doc = obs_report.to_value();
-            if let pisa_obs::json::Value::Obj(fields) = &mut doc {
-                fields.push(("net".to_owned(), net_section(&report.metrics)));
-            }
-            exports_ok &= write_output("metrics report", &path, &doc.to_json());
+    if let (Some(obs_report), Some(path)) = (obs_report, metrics_out) {
+        let mut doc = obs_report.to_value();
+        if let pisa_obs::json::Value::Obj(fields) = &mut doc {
+            fields.push(("net".to_owned(), net_section(&report.metrics)));
         }
+        exports_ok &= write_output("metrics report", &path, &doc.to_json());
     }
     if report.all_completed() && verified_ok && exports_ok {
         ExitCode::SUCCESS

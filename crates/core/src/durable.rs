@@ -237,8 +237,9 @@ impl From<DurableError> for crate::PisaError {
 ///
 /// The frame is first written to `<dir>/<name>.tmp` and fsynced, then
 /// renamed into place — rename is atomic on POSIX filesystems, so a
-/// crash mid-write leaves the previous checkpoint intact. Returns the
-/// final path.
+/// crash mid-write leaves the previous checkpoint intact. The directory
+/// is fsynced after the rename so the new entry itself survives a power
+/// loss. Returns the final path.
 ///
 /// # Errors
 ///
@@ -256,6 +257,7 @@ pub fn write_atomic(dir: &Path, name: &str, ckpt: &Checkpoint) -> Result<PathBuf
     drop(f);
     let path = dir.join(name);
     fs::rename(&tmp, &path)?;
+    fs::File::open(dir)?.sync_all()?;
     pisa_obs::count(pisa_obs::Op::CheckpointWrite);
     Ok(path)
 }

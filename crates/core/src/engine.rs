@@ -1,19 +1,29 @@
-//! Transport-agnostic session state machines for the storm engine.
+//! Transport-agnostic session state machines, written once for every
+//! execution mode.
 //!
-//! [`run_storm`](crate::run_storm) historically inlined the SDC, STP
-//! and SU protocol logic into its thread bodies, welding the state
-//! machines to wall-clock timeouts and crossbeam mailboxes. This module
-//! extracts that logic into three plain structs —
+//! The request round has three parties — the SU sends its encrypted
+//! request, the SDC blinds it and asks the STP for the sign test and
+//! key conversion, the SDC releases the license — and around that round
+//! sits the retry/replay bookkeeping that makes it survive a hostile
+//! network. This module holds that bookkeeping in three plain structs —
 //! [`SdcSessionEngine`], [`StpSessionEngine`] and [`SuSessionEngine`] —
 //! that know nothing about threads, clocks or channels:
 //!
-//! * the service engines map one inbound frame to zero or more outbound
-//!   `(recipient, frame)` pairs ([`SdcSessionEngine::handle`],
+//! * the service engines map one inbound frame to at most one outbound
+//!   `(recipient, frame)` pair ([`SdcSessionEngine::handle`],
 //!   [`StpSessionEngine::handle`]);
 //! * the SU engine is driven by [`SuEvent`]s (a delivered frame or an
 //!   expired deadline) and answers with a [`SuAction`]: either "send
 //!   these frames and wake me after `deadline`" or a final
 //!   [`SessionOutcome`].
+//!
+//! What a frame *carries* is left to a [`SessionCrypto`]
+//! implementation: [`PaillierRsa`] runs the real Paillier/RSA parties,
+//! and the simulator's plaintext model (`pisa_sim::model`) swaps in the
+//! WATCH decision oracle and analytic wire sizes. Both run every arm
+//! below — replay, stale reject, ε-preserving resend, fresh phase 1,
+//! reply acceptance, SU retry and backoff — so the modeled fidelity
+//! cannot drift from the real one.
 //!
 //! The threaded engine supplies real time and real mailboxes; the
 //! virtual-time discrete-event simulator (`pisa-sim`) supplies virtual
@@ -24,7 +34,7 @@
 use crate::error::PisaError;
 use crate::keys::SuId;
 use crate::license::License;
-use crate::messages::{PisaMessage, SdcResponseMsg, SdcToStpMsg, SuRequestMsg};
+use crate::messages::{PisaMessage, SdcResponseMsg, SdcToStpMsg, StpToSdcMsg, SuRequestMsg};
 use crate::sdc::SdcServer;
 use crate::session::{EngineConfig, SessionMsg, SessionOutcome};
 use crate::stp::StpServer;
@@ -39,43 +49,623 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::Duration;
 
+/// The content half of the session protocol: every step of the request
+/// round that depends on what the messages carry. The engines own the
+/// rest — which attempt is current, what to replay, when to retry.
+///
+/// `Sdc`, `Stp` and `Su` are each party's keys and crypto state; the
+/// steps are associated functions over them, so the engines dispatch
+/// statically.
+pub trait SessionCrypto {
+    /// One session frame: header (session id, attempt) plus payload.
+    type Msg;
+    /// What a license binds a request to.
+    type Digest: Copy + Eq;
+    /// An SU request, as the SDC's phase 1 consumes it.
+    type Request;
+    /// A key-converted STP reply, as the SDC's phase 2 consumes it.
+    type Reply;
+    /// Phase-1 output the SDC keeps while the sign test is in flight and
+    /// re-sends unchanged on a retry, so ε never changes.
+    type Query;
+    /// Phase-2 output the SDC keeps to replay idempotently.
+    type Response;
+    /// The SDC's keys and crypto state.
+    type Sdc;
+    /// The STP's keys and crypto state.
+    type Stp;
+    /// One SU's keys and its built request.
+    type Su;
+
+    /// The session id in a frame's header.
+    fn session(msg: &Self::Msg) -> u64;
+
+    /// Sorts a frame addressed to the SDC.
+    fn sdc_frame(msg: Self::Msg) -> SdcFrame<Self>;
+
+    /// SDC phase 1: blind the request for the sign test. `None` rejects
+    /// the request.
+    fn phase1(
+        sdc: &mut Self::Sdc,
+        su: SuId,
+        digest: Self::Digest,
+        request: Self::Request,
+    ) -> Option<Self::Query>;
+
+    /// SDC phase 2: unblind the STP's reply to `query` and release the
+    /// license.
+    ///
+    /// # Errors
+    ///
+    /// A [`Phase2Error`] saying whether the session survives.
+    fn phase2(
+        sdc: &mut Self::Sdc,
+        su: SuId,
+        reply: Self::Reply,
+        query: &Self::Query,
+    ) -> Result<Self::Response, Phase2Error>;
+
+    /// The SDC → STP frame carrying `query` for `su`'s `attempt`.
+    fn query_frame(
+        sdc: &Self::Sdc,
+        su: SuId,
+        attempt: u32,
+        digest: Self::Digest,
+        query: &Self::Query,
+    ) -> Self::Msg;
+
+    /// The SDC → SU frame carrying `response` for `su`'s `attempt`.
+    fn response_frame(
+        sdc: &Self::Sdc,
+        su: SuId,
+        attempt: u32,
+        digest: Self::Digest,
+        response: &Self::Response,
+    ) -> Self::Msg;
+
+    /// The STP's sign test and key conversion of one SDC frame: the
+    /// reply frame, or `None` to reject it.
+    fn key_convert(stp: &mut Self::Stp, msg: Self::Msg) -> Option<Self::Msg>;
+
+    /// The SU a session belongs to.
+    fn su_id(su: &Self::Su) -> SuId;
+
+    /// The SU's request frame for `attempt`.
+    fn request_frame(su: &Self::Su, attempt: u32) -> Self::Msg;
+
+    /// Matches a frame against the SU's request and verifies it:
+    /// `Some(verified)` for a response to this request, `None` for a
+    /// foreign SU or digest, or an out-of-protocol message.
+    fn verify_response(su: &Self::Su, msg: Self::Msg) -> Option<bool>;
+}
+
+/// A frame addressed to the SDC, sorted by [`SessionCrypto::sdc_frame`].
+pub enum SdcFrame<C: SessionCrypto + ?Sized> {
+    /// An SU request.
+    Request {
+        /// The requesting SU.
+        su: SuId,
+        /// The SU attempt in the header.
+        attempt: u32,
+        /// The request's content digest.
+        digest: C::Digest,
+        /// The request itself.
+        request: C::Request,
+    },
+    /// An STP reply.
+    Reply {
+        /// The SU the reply belongs to.
+        su: SuId,
+        /// The SU attempt in the header.
+        attempt: u32,
+        /// The reply itself.
+        reply: C::Reply,
+    },
+    /// Anything else: outside the SDC's part of the protocol.
+    Other {
+        /// The session id in the header.
+        session: u64,
+    },
+}
+
+/// Why [`SessionCrypto::phase2`] released nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase2Error {
+    /// The reply is unusable (wrong shape, unknown SU): keep the phase-1
+    /// state, so an SU retry re-drives the round.
+    Rejected,
+    /// The server's state no longer matches the engine's: drop the
+    /// session, so the next retry re-runs phase 1.
+    Desynchronized,
+}
+
 /// Where one session stands inside the SDC service engine — the
 /// explicit per-session state machine of the protocol's server side.
-enum SessionPhase {
+enum SessionPhase<C: SessionCrypto> {
     /// Phase 1 ran (request blinded, ε retained); the query is in
     /// flight to the STP for the sign test. Stored so a retried or
     /// duplicated request re-sends the *same* blinding instead of
     /// desynchronizing ε.
     AwaitingStp {
         attempt: u32,
-        digest: [u8; 32],
-        query: SdcToStpMsg,
+        digest: C::Digest,
+        query: C::Query,
     },
     /// Phase 2 ran and the license was released; the response replays
     /// idempotently for retries of the same attempt.
     Completed {
         attempt: u32,
-        digest: [u8; 32],
-        response: SdcResponseMsg,
+        digest: C::Digest,
+        response: C::Response,
     },
 }
 
 /// The SDC side of the session protocol: phase-1 blinding, phase-2
 /// license release, and the retry/replay bookkeeping between them.
 ///
-/// One inbound frame maps to zero or more outbound frames; malformed,
+/// One inbound frame maps to at most one outbound frame; malformed,
 /// stale or duplicated traffic is rejected and counted, never panicked
 /// on.
-pub struct SdcSessionEngine {
-    sdc: SdcServer,
-    su_keys: HashMap<SuId, PaillierPublicKey>,
-    sessions: HashMap<SuId, SessionPhase>,
-    workers: usize,
+pub struct SdcSessionEngine<C: SessionCrypto = PaillierRsa> {
+    sdc: C::Sdc,
+    sessions: HashMap<SuId, SessionPhase<C>>,
     metrics: NetMetrics,
+}
+
+impl<C: SessionCrypto> SdcSessionEngine<C> {
+    /// Wraps the SDC's crypto state with the session bookkeeping.
+    pub fn from_party(sdc: C::Sdc, metrics: NetMetrics) -> Self {
+        SdcSessionEngine {
+            sdc,
+            sessions: HashMap::new(),
+            metrics,
+        }
+    }
+
+    /// Processes one frame addressed to the SDC, returning the frame to
+    /// send in response, if any.
+    pub fn handle(&mut self, frame: C::Msg) -> Option<(Party, C::Msg)> {
+        match C::sdc_frame(frame) {
+            SdcFrame::Request {
+                su,
+                attempt,
+                digest,
+                request,
+            } => self.on_request(su, attempt, digest, request),
+            SdcFrame::Reply { su, attempt, reply } => self.on_reply(su, attempt, reply),
+            // PU updates and reflected responses are outside this
+            // engine's protocol: reject, never panic.
+            SdcFrame::Other { session } => {
+                self.metrics.record_session_reject(session);
+                None
+            }
+        }
+    }
+
+    fn on_request(
+        &mut self,
+        su: SuId,
+        attempt: u32,
+        digest: C::Digest,
+        request: C::Request,
+    ) -> Option<(Party, C::Msg)> {
+        let session = u64::from(su.0);
+        match self.sessions.get_mut(&su) {
+            // Idempotent replay for a retried request this engine
+            // already answered.
+            Some(SessionPhase::Completed {
+                attempt: done,
+                digest: d,
+                response,
+            }) if *d == digest && attempt == *done => {
+                let frame = C::response_frame(&self.sdc, su, *done, digest, response);
+                return Some((Party::Su(su.0), frame));
+            }
+            // A stale duplicate of a superseded attempt: the SU has
+            // moved on, don't recompute.
+            Some(SessionPhase::Completed {
+                attempt: done,
+                digest: d,
+                ..
+            }) if *d == digest && attempt < *done => {
+                self.metrics.record_session_reject(session);
+                return None;
+            }
+            // Retry or duplicate while the sign test is in flight: ε
+            // must not change, so re-send the stored query under the
+            // newest attempt instead of re-blinding.
+            Some(SessionPhase::AwaitingStp {
+                attempt: pending,
+                digest: d,
+                query,
+            }) if *d == digest => {
+                *pending = (*pending).max(attempt);
+                let frame = C::query_frame(&self.sdc, su, *pending, digest, query);
+                return Some((Party::Stp, frame));
+            }
+            // New request, a fresh attempt after a bad response, or a
+            // corrupted digest: phase 1.
+            _ => {}
+        }
+        let Some(query) = C::phase1(&mut self.sdc, su, digest, request) else {
+            self.metrics.record_session_reject(session);
+            return None;
+        };
+        let frame = C::query_frame(&self.sdc, su, attempt, digest, &query);
+        self.sessions.insert(
+            su,
+            SessionPhase::AwaitingStp {
+                attempt,
+                digest,
+                query,
+            },
+        );
+        Some((Party::Stp, frame))
+    }
+
+    fn on_reply(&mut self, su: SuId, attempt: u32, reply: C::Reply) -> Option<(Party, C::Msg)> {
+        let session = u64::from(su.0);
+        let (digest, released) = match self.sessions.get(&su) {
+            Some(SessionPhase::AwaitingStp {
+                attempt: pending,
+                digest,
+                query,
+            }) if *pending == attempt => (*digest, C::phase2(&mut self.sdc, su, reply, query)),
+            // Stale attempt, duplicate of a consumed reply, or no
+            // phase-1 state: reject.
+            _ => {
+                self.metrics.record_session_reject(session);
+                return None;
+            }
+        };
+        match released {
+            Ok(response) => {
+                let frame = C::response_frame(&self.sdc, su, attempt, digest, &response);
+                self.sessions.insert(
+                    su,
+                    SessionPhase::Completed {
+                        attempt,
+                        digest,
+                        response,
+                    },
+                );
+                Some((Party::Su(su.0), frame))
+            }
+            // An SU retry will re-drive the round.
+            Err(Phase2Error::Rejected) => {
+                self.metrics.record_session_reject(session);
+                None
+            }
+            // Drop the desynchronized view so the next retry re-runs
+            // phase 1.
+            Err(Phase2Error::Desynchronized) => {
+                self.metrics.record_session_reject(session);
+                self.sessions.remove(&su);
+                None
+            }
+        }
+    }
+}
+
+/// The STP side of the session protocol: stateless key conversion of
+/// each blinded sign-test query.
+pub struct StpSessionEngine<C: SessionCrypto = PaillierRsa> {
+    stp: C::Stp,
+    metrics: NetMetrics,
+}
+
+impl<C: SessionCrypto> StpSessionEngine<C> {
+    /// Wraps the STP's crypto state.
+    pub fn from_party(stp: C::Stp, metrics: NetMetrics) -> Self {
+        StpSessionEngine { stp, metrics }
+    }
+
+    /// Processes one frame addressed to the STP, returning the frame to
+    /// send in response, if any.
+    pub fn handle(&mut self, frame: C::Msg) -> Option<(Party, C::Msg)> {
+        let session = C::session(&frame);
+        let reply = C::key_convert(&mut self.stp, frame);
+        if reply.is_none() {
+            self.metrics.record_session_reject(session);
+        }
+        reply.map(|reply| (Party::Sdc, reply))
+    }
+}
+
+/// What the SU state machine was just told: either a frame arrived on
+/// its mailbox, or its current receive deadline expired.
+#[derive(Debug)]
+pub enum SuEvent<M = SessionMsg> {
+    /// A frame was delivered to this SU.
+    Frame(M),
+    /// The deadline from the previous [`SuAction::Continue`] expired
+    /// with nothing (acceptable) delivered.
+    Timeout,
+}
+
+/// What the SU state machine wants next.
+#[derive(Debug)]
+pub enum SuAction<M = SessionMsg> {
+    /// Send `sends` to the SDC, then wait: deliver the next frame as
+    /// [`SuEvent::Frame`], or [`SuEvent::Timeout`] once `deadline`
+    /// passes with none. Receiving a frame re-arms the *full* deadline.
+    Continue {
+        /// Frames to send to [`Party::Sdc`], in order (possibly none).
+        sends: Vec<M>,
+        /// How long to wait for the next frame.
+        deadline: Duration,
+    },
+    /// The session reached a terminal state.
+    Finish(SessionOutcome),
+}
+
+/// The SU side of one session: send the request, then retry it with
+/// exponential backoff until a verifiable response, a definite denial,
+/// or an exhausted budget.
+pub struct SuSessionEngine<C: SessionCrypto = PaillierRsa> {
+    su: C::Su,
+    engine: EngineConfig,
+    metrics: NetMetrics,
+    attempt: u32,
+    corrupt_possible: bool,
+}
+
+impl<C: SessionCrypto> SuSessionEngine<C> {
+    /// Wraps an SU's crypto state (its request already built) with the
+    /// retry policy. `corrupt_possible` says whether any link can
+    /// corrupt payloads — it decides if an unverifiable response is a
+    /// denial or possibly a flipped bit.
+    pub fn from_party(
+        su: C::Su,
+        engine: &EngineConfig,
+        corrupt_possible: bool,
+        metrics: NetMetrics,
+    ) -> Self {
+        SuSessionEngine {
+            su,
+            engine: engine.clone(),
+            metrics,
+            attempt: 0,
+            corrupt_possible,
+        }
+    }
+
+    /// The SU this engine speaks for.
+    pub fn su_id(&self) -> SuId {
+        C::su_id(&self.su)
+    }
+
+    /// Kicks the session off: the attempt-0 request and its deadline.
+    pub fn start(&self) -> SuAction<C::Msg> {
+        self.wait(vec![C::request_frame(&self.su, self.attempt)])
+    }
+
+    /// Advances the state machine by one event.
+    pub fn on_event(&mut self, event: SuEvent<C::Msg>) -> SuAction<C::Msg> {
+        match event {
+            SuEvent::Frame(frame) => match C::verify_response(&self.su, frame) {
+                // A flipped bit cannot forge a valid RSA signature: a
+                // verified grant is final.
+                Some(true) => self.finish(Some(true)),
+                // Links never mangle payloads, and the attempt tags rule
+                // out ε mismatches, so an unverifiable signature IS the
+                // deny.
+                Some(false) if !self.corrupt_possible => self.finish(Some(false)),
+                // Could be a denial or a flipped bit in G̃ —
+                // indistinguishable by design, so spend a retry to find
+                // out.
+                Some(false) => {
+                    self.metrics.record_session_reject(self.session());
+                    if self.attempt >= self.engine.max_retries {
+                        return self.finish(Some(false));
+                    }
+                    self.retry()
+                }
+                // Foreign digest, foreign SU, duplicate or
+                // out-of-protocol message: reject and keep waiting out a
+                // fresh full deadline.
+                None => {
+                    self.metrics.record_session_reject(self.session());
+                    self.wait(Vec::new())
+                }
+            },
+            SuEvent::Timeout => {
+                self.metrics.record_session_timeout(self.session());
+                if self.attempt >= self.engine.max_retries {
+                    return self.finish(None);
+                }
+                self.retry()
+            }
+        }
+    }
+
+    fn session(&self) -> u64 {
+        u64::from(self.su_id().0)
+    }
+
+    fn retry(&mut self) -> SuAction<C::Msg> {
+        self.attempt += 1;
+        self.metrics.record_session_retry(self.session());
+        self.wait(vec![C::request_frame(&self.su, self.attempt)])
+    }
+
+    fn wait(&self, sends: Vec<C::Msg>) -> SuAction<C::Msg> {
+        SuAction::Continue {
+            sends,
+            deadline: self.engine.deadline(self.attempt),
+        }
+    }
+
+    fn finish(&self, granted: Option<bool>) -> SuAction<C::Msg> {
+        SuAction::Finish(SessionOutcome {
+            su_id: self.su_id(),
+            granted,
+            attempts: self.attempt + 1,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------
+// The real parties: Paillier ciphertexts and RSA licenses
+// ---------------------------------------------------------------------
+
+/// The real protocol: Paillier-encrypted matrices, blinded sign tests,
+/// RSA-signed licenses.
+pub enum PaillierRsa {}
+
+/// The SDC's keys and crypto state under [`PaillierRsa`].
+pub struct PaillierSdc {
+    server: SdcServer,
+    su_keys: HashMap<SuId, PaillierPublicKey>,
+    workers: usize,
     rng: StdRng,
 }
 
-impl SdcSessionEngine {
+/// The STP's keys and crypto state under [`PaillierRsa`].
+pub struct PaillierStp {
+    server: StpServer,
+    workers: usize,
+    rng: StdRng,
+}
+
+/// One SU's keys and encrypted request under [`PaillierRsa`].
+pub struct PaillierSu {
+    client: SuClient,
+    signing: RsaPublicKey,
+    digest: [u8; 32],
+    request: SuRequestMsg,
+}
+
+impl SessionCrypto for PaillierRsa {
+    type Msg = SessionMsg;
+    type Digest = [u8; 32];
+    type Request = SuRequestMsg;
+    type Reply = StpToSdcMsg;
+    type Query = SdcToStpMsg;
+    type Response = SdcResponseMsg;
+    type Sdc = PaillierSdc;
+    type Stp = PaillierStp;
+    type Su = PaillierSu;
+
+    fn session(msg: &SessionMsg) -> u64 {
+        msg.session
+    }
+
+    fn sdc_frame(msg: SessionMsg) -> SdcFrame<Self> {
+        match msg.msg {
+            PisaMessage::SuRequest(request) => SdcFrame::Request {
+                su: request.su_id,
+                attempt: msg.attempt,
+                digest: License::digest_request(request.f_matrix.ciphertexts()),
+                request,
+            },
+            PisaMessage::StpToSdc(reply) => SdcFrame::Reply {
+                su: reply.su_id,
+                attempt: msg.attempt,
+                reply,
+            },
+            _ => SdcFrame::Other {
+                session: msg.session,
+            },
+        }
+    }
+
+    fn phase1(
+        sdc: &mut PaillierSdc,
+        _su: SuId,
+        _digest: [u8; 32],
+        request: SuRequestMsg,
+    ) -> Option<SdcToStpMsg> {
+        sdc.server
+            .process_request_phase1_parallel(&request, sdc.workers, &mut sdc.rng)
+            .ok()
+    }
+
+    fn phase2(
+        sdc: &mut PaillierSdc,
+        su: SuId,
+        reply: StpToSdcMsg,
+        _query: &SdcToStpMsg,
+    ) -> Result<SdcResponseMsg, Phase2Error> {
+        let su_pk = sdc.su_keys.get(&su).ok_or(Phase2Error::Rejected)?;
+        sdc.server
+            .process_request_phase2(&reply, su_pk, &mut sdc.rng)
+            .map_err(|e| match e {
+                // Shape mismatch keeps the server-side ε state.
+                PisaError::DimensionMismatch { .. } => Phase2Error::Rejected,
+                _ => Phase2Error::Desynchronized,
+            })
+    }
+
+    fn query_frame(
+        _sdc: &PaillierSdc,
+        su: SuId,
+        attempt: u32,
+        _digest: [u8; 32],
+        query: &SdcToStpMsg,
+    ) -> SessionMsg {
+        SessionMsg {
+            session: u64::from(su.0),
+            attempt,
+            msg: PisaMessage::SdcToStp(query.clone()),
+        }
+    }
+
+    fn response_frame(
+        _sdc: &PaillierSdc,
+        su: SuId,
+        attempt: u32,
+        _digest: [u8; 32],
+        response: &SdcResponseMsg,
+    ) -> SessionMsg {
+        SessionMsg {
+            session: u64::from(su.0),
+            attempt,
+            msg: PisaMessage::SdcResponse(response.clone()),
+        }
+    }
+
+    fn key_convert(stp: &mut PaillierStp, msg: SessionMsg) -> Option<SessionMsg> {
+        let PisaMessage::SdcToStp(query) = msg.msg else {
+            return None;
+        };
+        let (reply, _obs) = stp
+            .server
+            .key_convert_parallel(&query, stp.workers, &mut stp.rng)
+            .ok()?;
+        Some(SessionMsg {
+            session: msg.session,
+            attempt: msg.attempt,
+            msg: PisaMessage::StpToSdc(reply),
+        })
+    }
+
+    fn su_id(su: &PaillierSu) -> SuId {
+        su.client.id()
+    }
+
+    fn request_frame(su: &PaillierSu, attempt: u32) -> SessionMsg {
+        SessionMsg {
+            session: u64::from(su.client.id().0),
+            attempt,
+            msg: PisaMessage::SuRequest(su.request.clone()),
+        }
+    }
+
+    fn verify_response(su: &PaillierSu, msg: SessionMsg) -> Option<bool> {
+        match msg.msg {
+            PisaMessage::SdcResponse(resp)
+                if resp.license.su_id == su.client.id()
+                    && resp.license.request_digest == su.digest =>
+            {
+                Some(su.client.handle_response(&resp, &su.signing))
+            }
+            _ => None,
+        }
+    }
+}
+
+impl SdcSessionEngine<PaillierRsa> {
     /// Wraps `sdc` with the session bookkeeping. `su_keys` maps each
     /// participating SU to its Paillier key (needed for phase 2);
     /// `workers` sizes the parallel crypto paths (byte-identical to
@@ -93,178 +683,24 @@ impl SdcSessionEngine {
         seed: u64,
     ) -> Self {
         assert!(workers > 0, "need at least one crypto worker");
-        SdcSessionEngine {
-            sdc,
+        let party = PaillierSdc {
+            server: sdc,
             su_keys,
-            sessions: HashMap::new(),
             workers,
-            metrics,
             rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Processes one frame addressed to the SDC, returning the frames
-    /// to send in response (in order).
-    pub fn handle(&mut self, frame: SessionMsg) -> Vec<(Party, SessionMsg)> {
-        let mut out = Vec::new();
-        match frame.msg {
-            PisaMessage::SuRequest(req) => {
-                let session = u64::from(req.su_id.0);
-                let digest = License::digest_request(req.f_matrix.ciphertexts());
-                enum Action {
-                    Replay(SdcResponseMsg, u32),
-                    Resend(SdcToStpMsg, u32),
-                    Reject,
-                    Fresh,
-                }
-                let action = match self.sessions.get_mut(&req.su_id) {
-                    // Idempotent replay for a retried request this
-                    // engine already answered.
-                    Some(SessionPhase::Completed {
-                        attempt,
-                        digest: d,
-                        response,
-                    }) if *d == digest && frame.attempt == *attempt => {
-                        Action::Replay(response.clone(), *attempt)
-                    }
-                    // A stale duplicate of a superseded attempt: the SU
-                    // has moved on, don't recompute.
-                    Some(SessionPhase::Completed {
-                        attempt, digest: d, ..
-                    }) if *d == digest && frame.attempt < *attempt => Action::Reject,
-                    // Retry or duplicate while the sign test is in
-                    // flight: ε must not change, so re-send the stored
-                    // query under the newest attempt instead of
-                    // re-blinding.
-                    Some(SessionPhase::AwaitingStp {
-                        attempt,
-                        digest: d,
-                        query,
-                    }) if *d == digest => {
-                        *attempt = (*attempt).max(frame.attempt);
-                        Action::Resend(query.clone(), *attempt)
-                    }
-                    // New request, a fresh attempt after a bad
-                    // response, or a corrupted digest: phase 1.
-                    _ => Action::Fresh,
-                };
-                match action {
-                    Action::Replay(response, attempt) => out.push((
-                        Party::Su(req.su_id.0),
-                        SessionMsg {
-                            session,
-                            attempt,
-                            msg: PisaMessage::SdcResponse(response),
-                        },
-                    )),
-                    Action::Resend(query, attempt) => out.push((
-                        Party::Stp,
-                        SessionMsg {
-                            session,
-                            attempt,
-                            msg: PisaMessage::SdcToStp(query),
-                        },
-                    )),
-                    Action::Reject => self.metrics.record_session_reject(session),
-                    Action::Fresh => {
-                        match self.sdc.process_request_phase1_parallel(
-                            &req,
-                            self.workers,
-                            &mut self.rng,
-                        ) {
-                            Ok(query) => {
-                                self.sessions.insert(
-                                    req.su_id,
-                                    SessionPhase::AwaitingStp {
-                                        attempt: frame.attempt,
-                                        digest,
-                                        query: query.clone(),
-                                    },
-                                );
-                                out.push((
-                                    Party::Stp,
-                                    SessionMsg {
-                                        session,
-                                        attempt: frame.attempt,
-                                        msg: PisaMessage::SdcToStp(query),
-                                    },
-                                ));
-                            }
-                            Err(_) => self.metrics.record_session_reject(session),
-                        }
-                    }
-                }
-            }
-            PisaMessage::StpToSdc(reply) => {
-                let session = u64::from(reply.su_id.0);
-                let current = match self.sessions.get(&reply.su_id) {
-                    Some(SessionPhase::AwaitingStp {
-                        attempt, digest, ..
-                    }) if *attempt == frame.attempt => Some((*attempt, *digest)),
-                    // Stale attempt, duplicate of a consumed reply, or
-                    // no phase-1 state: reject.
-                    _ => None,
-                };
-                let Some((attempt, digest)) = current else {
-                    self.metrics.record_session_reject(session);
-                    return out;
-                };
-                let Some(su_pk) = self.su_keys.get(&reply.su_id) else {
-                    self.metrics.record_session_reject(session);
-                    return out;
-                };
-                match self
-                    .sdc
-                    .process_request_phase2(&reply, su_pk, &mut self.rng)
-                {
-                    Ok(response) => {
-                        self.sessions.insert(
-                            reply.su_id,
-                            SessionPhase::Completed {
-                                attempt,
-                                digest,
-                                response: response.clone(),
-                            },
-                        );
-                        out.push((
-                            Party::Su(reply.su_id.0),
-                            SessionMsg {
-                                session,
-                                attempt,
-                                msg: PisaMessage::SdcResponse(response),
-                            },
-                        ));
-                    }
-                    // Shape mismatch keeps the server-side ε state; an
-                    // SU retry will re-drive the round.
-                    Err(PisaError::DimensionMismatch { .. }) => {
-                        self.metrics.record_session_reject(session);
-                    }
-                    // Any other failure means the engine's view
-                    // desynchronized from the server state — drop it so
-                    // the next retry re-runs phase 1.
-                    Err(_) => {
-                        self.metrics.record_session_reject(session);
-                        self.sessions.remove(&reply.su_id);
-                    }
-                }
-            }
-            // PU updates and reflected responses are outside this
-            // engine's protocol: reject, never panic.
-            _ => self.metrics.record_session_reject(frame.session),
-        }
-        out
+        };
+        Self::from_party(party, metrics)
     }
 
     /// Unwraps the server once the storm is over.
     pub fn into_server(self) -> SdcServer {
-        self.sdc
+        self.sdc.server
     }
 
     /// The wrapped server (read-only; checkpointing reads its snapshot
     /// through this without tearing the engine down).
     pub fn server(&self) -> &SdcServer {
-        &self.sdc
+        &self.sdc.server
     }
 
     /// Serializes the per-session protocol table — which attempt each
@@ -394,16 +830,7 @@ const PHASE_AWAITING_STP: u8 = 1;
 /// Phase tag: response released, replayable.
 const PHASE_COMPLETED: u8 = 2;
 
-/// The STP side of the session protocol: stateless key conversion of
-/// each blinded sign-test query.
-pub struct StpSessionEngine {
-    stp: StpServer,
-    workers: usize,
-    metrics: NetMetrics,
-    rng: StdRng,
-}
-
-impl StpSessionEngine {
+impl StpSessionEngine<PaillierRsa> {
     /// Wraps `stp`; parameters as for [`SdcSessionEngine::new`].
     ///
     /// # Panics
@@ -411,87 +838,30 @@ impl StpSessionEngine {
     /// Panics if `workers == 0`.
     pub fn new(stp: StpServer, workers: usize, metrics: NetMetrics, seed: u64) -> Self {
         assert!(workers > 0, "need at least one crypto worker");
-        StpSessionEngine {
-            stp,
+        let party = PaillierStp {
+            server: stp,
             workers,
-            metrics,
             rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Processes one frame addressed to the STP, returning the frames
-    /// to send in response.
-    pub fn handle(&mut self, frame: SessionMsg) -> Vec<(Party, SessionMsg)> {
-        match frame.msg {
-            PisaMessage::SdcToStp(query) => {
-                match self
-                    .stp
-                    .key_convert_parallel(&query, self.workers, &mut self.rng)
-                {
-                    Ok((reply, _obs)) => vec![(
-                        Party::Sdc,
-                        SessionMsg {
-                            session: frame.session,
-                            attempt: frame.attempt,
-                            msg: PisaMessage::StpToSdc(reply),
-                        },
-                    )],
-                    Err(_) => {
-                        self.metrics.record_session_reject(frame.session);
-                        Vec::new()
-                    }
-                }
-            }
-            _ => {
-                self.metrics.record_session_reject(frame.session);
-                Vec::new()
-            }
-        }
+        };
+        Self::from_party(party, metrics)
     }
 
     /// Unwraps the server once the storm is over.
     pub fn into_server(self) -> StpServer {
-        self.stp
+        self.stp.server
     }
 
     /// The wrapped server (read-only; checkpointing reads its directory
     /// snapshot through this without tearing the engine down).
     pub fn server(&self) -> &StpServer {
-        &self.stp
+        &self.stp.server
     }
 
     /// Mutable access to the wrapped server, for restoring its SU key
     /// directory from a checkpoint before serving.
     pub fn server_mut(&mut self) -> &mut StpServer {
-        &mut self.stp
+        &mut self.stp.server
     }
-}
-
-/// What the SU state machine was just told: either a frame arrived on
-/// its mailbox, or its current receive deadline expired.
-#[derive(Debug)]
-pub enum SuEvent {
-    /// A frame was delivered to this SU.
-    Frame(SessionMsg),
-    /// The deadline from the previous [`SuAction::Continue`] expired
-    /// with nothing (acceptable) delivered.
-    Timeout,
-}
-
-/// What the SU state machine wants next.
-#[derive(Debug)]
-pub enum SuAction {
-    /// Send `sends` to the SDC, then wait: deliver the next frame as
-    /// [`SuEvent::Frame`], or [`SuEvent::Timeout`] once `deadline`
-    /// passes with none. Receiving a frame re-arms the *full* deadline.
-    Continue {
-        /// Frames to send to [`Party::Sdc`], in order (possibly none).
-        sends: Vec<SessionMsg>,
-        /// How long to wait for the next frame.
-        deadline: Duration,
-    },
-    /// The session reached a terminal state.
-    Finish(SessionOutcome),
 }
 
 /// Construction parameters shared by every SU engine of one storm.
@@ -511,22 +881,7 @@ pub struct SuSessionParams<'a> {
     pub metrics: &'a NetMetrics,
 }
 
-/// The SU side of one session: build the request once, then retry it
-/// with exponential backoff until a verifiable response, a definite
-/// denial, or an exhausted budget.
-pub struct SuSessionEngine {
-    su: SuClient,
-    signing: RsaPublicKey,
-    engine: EngineConfig,
-    metrics: NetMetrics,
-    session: u64,
-    digest: [u8; 32],
-    request: SuRequestMsg,
-    attempt: u32,
-    corrupt_possible: bool,
-}
-
-impl SuSessionEngine {
+impl SuSessionEngine<PaillierRsa> {
     /// Builds the SU's encrypted request (the expensive part) and the
     /// session state machine around it. `rng` drives the request's
     /// encryption randomness and must be this SU's dedicated stream.
@@ -537,102 +892,17 @@ impl SuSessionEngine {
         rng: &mut StdRng,
     ) -> Self {
         let request = su.build_request(params.cfg, params.pk_g, channels, rng);
-        let digest = License::digest_request(request.f_matrix.ciphertexts());
-        SuSessionEngine {
-            session: u64::from(su.id().0),
-            su,
+        let party = PaillierSu {
+            digest: License::digest_request(request.f_matrix.ciphertexts()),
+            client: su,
             signing: params.signing.clone(),
-            engine: params.engine.clone(),
-            metrics: params.metrics.clone(),
-            digest,
             request,
-            attempt: 0,
-            corrupt_possible: params.corrupt_possible,
-        }
-    }
-
-    /// The SU this engine speaks for.
-    pub fn su_id(&self) -> SuId {
-        self.su.id()
-    }
-
-    /// Kicks the session off: the attempt-0 request and its deadline.
-    pub fn start(&self) -> SuAction {
-        self.wait(vec![self.frame()])
-    }
-
-    /// Advances the state machine by one event.
-    pub fn on_event(&mut self, event: SuEvent) -> SuAction {
-        match event {
-            SuEvent::Frame(frame) => match frame.msg {
-                PisaMessage::SdcResponse(resp)
-                    if resp.license.su_id == self.su.id()
-                        && resp.license.request_digest == self.digest =>
-                {
-                    if self.su.handle_response(&resp, &self.signing) {
-                        // A flipped bit cannot forge a valid RSA
-                        // signature: a verified grant is final.
-                        return self.finish(Some(true));
-                    }
-                    if !self.corrupt_possible {
-                        // Links never mangle payloads, and the attempt
-                        // tags rule out ε mismatches, so an
-                        // unverifiable signature IS the deny.
-                        return self.finish(Some(false));
-                    }
-                    // Could be a denial or a flipped bit in G̃ —
-                    // indistinguishable by design, so spend a retry to
-                    // find out.
-                    self.metrics.record_session_reject(self.session);
-                    if self.attempt >= self.engine.max_retries {
-                        return self.finish(Some(false));
-                    }
-                    self.retry()
-                }
-                // Foreign digest, foreign SU, duplicate or
-                // out-of-protocol message: reject and keep waiting out
-                // a fresh full deadline.
-                _ => {
-                    self.metrics.record_session_reject(self.session);
-                    self.wait(Vec::new())
-                }
-            },
-            SuEvent::Timeout => {
-                self.metrics.record_session_timeout(self.session);
-                if self.attempt >= self.engine.max_retries {
-                    return self.finish(None);
-                }
-                self.retry()
-            }
-        }
-    }
-
-    fn frame(&self) -> SessionMsg {
-        SessionMsg {
-            session: self.session,
-            attempt: self.attempt,
-            msg: PisaMessage::SuRequest(self.request.clone()),
-        }
-    }
-
-    fn retry(&mut self) -> SuAction {
-        self.attempt += 1;
-        self.metrics.record_session_retry(self.session);
-        self.wait(vec![self.frame()])
-    }
-
-    fn wait(&self, sends: Vec<SessionMsg>) -> SuAction {
-        SuAction::Continue {
-            sends,
-            deadline: self.engine.deadline(self.attempt),
-        }
-    }
-
-    fn finish(&self, granted: Option<bool>) -> SuAction {
-        SuAction::Finish(SessionOutcome {
-            su_id: self.su.id(),
-            granted,
-            attempts: self.attempt + 1,
-        })
+        };
+        Self::from_party(
+            party,
+            params.engine,
+            params.corrupt_possible,
+            params.metrics.clone(),
+        )
     }
 }

@@ -73,7 +73,8 @@ mod wire;
 pub use cipher_matrix::CipherMatrix;
 pub use config::SystemConfig;
 pub use engine::{
-    SdcSessionEngine, StpSessionEngine, SuAction, SuEvent, SuSessionEngine, SuSessionParams,
+    PaillierRsa, Phase2Error, SdcFrame, SdcSessionEngine, SessionCrypto, StpSessionEngine,
+    SuAction, SuEvent, SuSessionEngine, SuSessionParams,
 };
 pub use error::PisaError;
 pub use keys::{GlobalKeys, SuId, SuKeyDirectory};
@@ -86,10 +87,7 @@ pub use netstorm::{
     StormFixture, StpService,
 };
 pub use privacy::LocationPrivacy;
-pub use protocol::{
-    run_concurrent_requests, run_request_direct, run_request_direct_tuned,
-    run_request_over_network, NetworkRun, RequestOutcome,
-};
+pub use protocol::{run_request_direct, run_request_direct_tuned, RequestOutcome};
 pub use pu::PuClient;
 pub use sdc::SdcServer;
 pub use session::{

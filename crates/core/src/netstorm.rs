@@ -303,7 +303,7 @@ impl SdcService {
         loop {
             match self.node.recv_timeout(self.poll) {
                 Some(SocketEvent::Frame(env)) => {
-                    for (to, frame) in self.machine.handle(env.payload) {
+                    if let Some((to, frame)) = self.machine.handle(env.payload) {
                         // A failed reply is a lost frame: the SU's retry
                         // budget covers it, exactly as with drop faults.
                         let _ = self.node.send_from(Party::Sdc, to, &frame);
@@ -457,7 +457,7 @@ impl StpService {
         loop {
             match self.node.recv_timeout(self.poll) {
                 Some(SocketEvent::Frame(env)) => {
-                    for (to, frame) in self.machine.handle(env.payload) {
+                    if let Some((to, frame)) = self.machine.handle(env.payload) {
                         let _ = self.node.send_from(Party::Stp, to, &frame);
                     }
                     self.handled += 1;

@@ -1,11 +1,9 @@
 //! Concurrent multi-session protocol engine over the simulated network.
 //!
-//! [`protocol::run_concurrent_requests`](crate::run_concurrent_requests)
-//! drives N requests over a *reliable* network and panics on anything
-//! unexpected — fine for measuring Figure 6, useless for the "millions
-//! of users over real links" north star. This module is the resilient
-//! replacement: threaded SDC and STP **service loops** plus one thread
-//! per SU session, where
+//! Running N requests over a network is only useful for the "millions
+//! of users over real links" north star if nothing in the loop trusts
+//! the network. This module is the resilient engine: threaded SDC and
+//! STP **service loops** plus one thread per SU session, where
 //!
 //! * every session is an explicit state machine ([`SessionPhase`]:
 //!   phase 1 blinding → STP sign test → phase 2 license release),
@@ -320,7 +318,7 @@ pub fn run_storm(
                     }
                     continue;
                 };
-                for (to, frame) in machine.handle(env.payload) {
+                if let Some((to, frame)) = machine.handle(env.payload) {
                     let _ = sdc_ep.try_send(to, frame);
                 }
             }
@@ -341,7 +339,7 @@ pub fn run_storm(
                     }
                     continue;
                 };
-                for (to, frame) in machine.handle(env.payload) {
+                if let Some((to, frame)) = machine.handle(env.payload) {
                     let _ = stp_ep.try_send(to, frame);
                 }
             }

@@ -272,12 +272,12 @@ pub fn record_storm(
         });
         match to {
             Party::Sdc => {
-                for (next, out) in sdc.handle(msg) {
+                if let Some((next, out)) = sdc.handle(msg) {
                     queue.push_back((Party::Sdc, next, out));
                 }
             }
             Party::Stp => {
-                for (next, out) in stp.handle(msg) {
+                if let Some((next, out)) = stp.handle(msg) {
                     queue.push_back((Party::Stp, next, out));
                 }
             }

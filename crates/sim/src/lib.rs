@@ -7,11 +7,12 @@
 //! re-runs the same protocol on *virtual* time: a single thread pops
 //! events off a `(virtual_time, seq)`-keyed heap, the network is the
 //! exact fault pipeline of `pisa-net` driven by the same seeded
-//! per-link streams, and the parties are either the real `pisa-core`
-//! session engines ([`Fidelity::Real`]) or plaintext mirrors of them
-//! ([`Fidelity::Modeled`]) that trade the Paillier arithmetic for the
-//! WATCH decision oracle — which is what makes a 10⁵-session storm
-//! finish in seconds.
+//! per-link streams, and the parties are the `pisa-core` session
+//! engines, instantiated either over the real Paillier/RSA crypto
+//! ([`Fidelity::Real`]) or over the plaintext [`model::Plaintext`]
+//! protocol ([`Fidelity::Modeled`]), which trades the Paillier
+//! arithmetic for the WATCH decision oracle — that is what makes a
+//! 10⁵-session storm finish in seconds.
 //!
 //! Everything is bit-deterministic per seed: [`run_sim_storm`] with
 //! the same `(seed, config)` produces a byte-identical
@@ -39,11 +40,9 @@ mod net;
 mod report;
 mod storm;
 mod sweep;
-mod transport;
 
 pub use event::EventQueue;
 pub use net::{Delivery, SimNet};
 pub use report::{decisions_digest, SimOutcome, StormReport};
 pub use storm::{run_sim_storm, run_sim_storm_with, Fidelity, SimConfig};
 pub use sweep::{check_storm, run_sweep, shrink, RegressionCase, SweepConfig, SweepReport};
-pub use transport::SimTransport;

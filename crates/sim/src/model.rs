@@ -1,25 +1,26 @@
-//! Modeled-fidelity protocol: the storm state machines without the
+//! Modeled-fidelity protocol: the session engines without the
 //! cryptography.
 //!
 //! A 10⁵-session storm cannot run real Paillier in CI, but almost none
 //! of the *resilience* behaviour depends on the ciphertexts: grant/deny
 //! decisions are a pure function of the plaintext WATCH matrices, and
 //! the retry/replay/reject logic keys on session ids, attempt counters
-//! and request digests. This module therefore mirrors the session
-//! engines of `pisa-core` over a lightweight [`ModelMsg`] whose wire
-//! size is computed analytically (exactly how the real messages size
-//! themselves) and whose decisions come from the plaintext
-//! [`WatchSdc`] oracle — the same oracle the watch-equivalence tests
-//! pin the encrypted pipeline against.
+//! and request digests. This module therefore implements only the
+//! content half of the protocol — [`Plaintext`], a
+//! [`SessionCrypto`] — over a lightweight `Copy` [`ModelMsg`] whose
+//! wire size is computed analytically (exactly how the real messages
+//! size themselves) and whose decisions come from the plaintext
+//! [`WatchSdc`] oracle, the same oracle the watch-equivalence tests pin
+//! the encrypted pipeline against.
 //!
-//! The mirroring is deliberate and per-arm: every match arm in
-//! [`ModelSdc::handle`] / [`ModelSu`] corresponds to a named arm of
-//! `SdcSessionEngine::handle` / `SuSessionEngine::on_event`, including
-//! the replay, stale-duplicate, ε-preserving resend and
-//! unverifiable-response paths.
+//! The session state machines themselves — replay, stale reject,
+//! ε-preserving resend, reply acceptance, SU retry and backoff — are
+//! the `pisa-core` engines, instantiated as
+//! `SdcSessionEngine<Plaintext>` and friends; nothing here duplicates
+//! them.
 
-use pisa::EngineConfig;
-use pisa_net::{NetMetrics, Party, WireSize};
+use pisa::{Phase2Error, SdcFrame, SessionCrypto, SuId};
+use pisa_net::WireSize;
 use pisa_radio::tv::Channel;
 use pisa_radio::BlockId;
 use pisa_watch::{PuInput, SuRequest, WatchConfig, WatchSdc};
@@ -249,357 +250,190 @@ impl ModelOracle {
     }
 }
 
-/// Where one modeled session stands inside the SDC, mirroring the
-/// real engine's `SessionPhase`.
-enum Phase {
-    AwaitingStp {
-        attempt: u32,
-        digest: u64,
-        granted: bool,
-    },
-    Completed {
-        attempt: u32,
-        digest: u64,
-        granted: bool,
-    },
-}
+/// The plaintext protocol: decisions from the [`ModelOracle`], wire
+/// sizes from [`ModelWire`], and the corruption semantics of
+/// [`corrupt_model_frame`] standing in for the ciphertexts. The session
+/// engines of `pisa-core` run over it unchanged.
+pub enum Plaintext {}
 
-/// The modeled SDC service engine: same replay/resend/reject state
-/// machine as `SdcSessionEngine`, decisions from the plaintext oracle.
-pub struct ModelSdc {
+/// The modeled SDC: the decision oracle, and how many SUs its key
+/// directory holds.
+pub struct PlaintextSdc {
     sus: u32,
-    sessions: HashMap<u32, Phase>,
     oracle: ModelOracle,
     wire: ModelWire,
-    metrics: NetMetrics,
 }
 
-impl ModelSdc {
-    /// An engine serving `sus` registered SUs.
-    pub fn new(sus: u32, oracle: ModelOracle, wire: ModelWire, metrics: NetMetrics) -> Self {
-        ModelSdc {
-            sus,
-            sessions: HashMap::new(),
-            oracle,
-            wire,
-            metrics,
-        }
-    }
-
-    /// Processes one frame addressed to the SDC; returns the responses.
-    pub fn handle(&mut self, frame: ModelMsg) -> Vec<(Party, ModelMsg)> {
-        match frame.payload {
-            ModelPayload::Request { su, digest } => {
-                let session = u64::from(su);
-                enum Action {
-                    Replay(bool, u32),
-                    Resend(u32),
-                    Reject,
-                    Fresh,
-                }
-                let action = match self.sessions.get_mut(&su) {
-                    // Idempotent replay of an answered attempt.
-                    Some(Phase::Completed {
-                        attempt,
-                        digest: d,
-                        granted,
-                    }) if *d == digest && frame.attempt == *attempt => {
-                        Action::Replay(*granted, *attempt)
-                    }
-                    // Stale duplicate of a superseded attempt.
-                    Some(Phase::Completed {
-                        attempt, digest: d, ..
-                    }) if *d == digest && frame.attempt < *attempt => Action::Reject,
-                    // Sign test in flight: re-send the same query under
-                    // the newest attempt (ε must not change).
-                    Some(Phase::AwaitingStp {
-                        attempt, digest: d, ..
-                    }) if *d == digest => {
-                        *attempt = (*attempt).max(frame.attempt);
-                        Action::Resend(*attempt)
-                    }
-                    // Fresh request or corrupted digest: phase 1.
-                    _ => Action::Fresh,
-                };
-                match action {
-                    Action::Replay(granted, attempt) => vec![(
-                        Party::Su(su),
-                        self.wire.sized(
-                            session,
-                            attempt,
-                            ModelPayload::Response {
-                                su,
-                                digest,
-                                granted,
-                                garbled: false,
-                            },
-                        ),
-                    )],
-                    Action::Resend(attempt) => vec![(
-                        Party::Stp,
-                        self.wire
-                            .sized(session, attempt, ModelPayload::Query { su, digest }),
-                    )],
-                    Action::Reject => {
-                        self.metrics.record_session_reject(session);
-                        Vec::new()
-                    }
-                    Action::Fresh => {
-                        // A digest that is not the SU's canonical one is
-                        // a corrupted request: garbage plaintexts can
-                        // never satisfy every budget, so it resolves to
-                        // a denial — exactly like the encrypted path.
-                        let granted = digest == model_digest(su) && self.oracle.su_decision(su);
-                        self.sessions.insert(
-                            su,
-                            Phase::AwaitingStp {
-                                attempt: frame.attempt,
-                                digest,
-                                granted,
-                            },
-                        );
-                        vec![(
-                            Party::Stp,
-                            self.wire.sized(
-                                session,
-                                frame.attempt,
-                                ModelPayload::Query { su, digest },
-                            ),
-                        )]
-                    }
-                }
-            }
-            ModelPayload::Reply { su, .. } => {
-                let session = u64::from(su);
-                let current = match self.sessions.get(&su) {
-                    Some(Phase::AwaitingStp {
-                        attempt,
-                        digest,
-                        granted,
-                    }) if *attempt == frame.attempt => Some((*attempt, *digest, *granted)),
-                    // Stale attempt, consumed reply, or no phase-1
-                    // state.
-                    _ => None,
-                };
-                let Some((attempt, digest, granted)) = current else {
-                    self.metrics.record_session_reject(session);
-                    return Vec::new();
-                };
-                // Mirror of the phase-2 key lookup: an unknown SU has
-                // no key directory entry.
-                if su >= self.sus {
-                    self.metrics.record_session_reject(session);
-                    return Vec::new();
-                }
-                self.sessions.insert(
-                    su,
-                    Phase::Completed {
-                        attempt,
-                        digest,
-                        granted,
-                    },
-                );
-                vec![(
-                    Party::Su(su),
-                    self.wire.sized(
-                        session,
-                        attempt,
-                        ModelPayload::Response {
-                            su,
-                            digest,
-                            granted,
-                            garbled: false,
-                        },
-                    ),
-                )]
-            }
-            // Out-of-protocol traffic: reject, never panic.
-            _ => {
-                self.metrics.record_session_reject(frame.session);
-                Vec::new()
-            }
-        }
+impl PlaintextSdc {
+    /// An SDC serving SUs `0..sus`.
+    pub fn new(sus: u32, oracle: ModelOracle, wire: ModelWire) -> Self {
+        PlaintextSdc { sus, oracle, wire }
     }
 }
 
-/// The modeled STP: stateless key conversion, mirroring
-/// `StpSessionEngine` (including the reject on an unregistered SU,
-/// whose key the conversion would need).
-pub struct ModelStp {
+/// The modeled STP: converts queries for SUs `0..sus`, whose keys it
+/// holds.
+pub struct PlaintextStp {
     sus: u32,
     wire: ModelWire,
-    metrics: NetMetrics,
 }
 
-impl ModelStp {
-    /// An engine serving `sus` registered SUs.
-    pub fn new(sus: u32, wire: ModelWire, metrics: NetMetrics) -> Self {
-        ModelStp { sus, wire, metrics }
-    }
-
-    /// Processes one frame addressed to the STP.
-    pub fn handle(&mut self, frame: ModelMsg) -> Vec<(Party, ModelMsg)> {
-        match frame.payload {
-            ModelPayload::Query { su, digest } if su < self.sus => vec![(
-                Party::Sdc,
-                self.wire.sized(
-                    frame.session,
-                    frame.attempt,
-                    ModelPayload::Reply { su, digest },
-                ),
-            )],
-            _ => {
-                self.metrics.record_session_reject(frame.session);
-                Vec::new()
-            }
-        }
+impl PlaintextStp {
+    /// An STP holding the keys of SUs `0..sus`.
+    pub fn new(sus: u32, wire: ModelWire) -> Self {
+        PlaintextStp { sus, wire }
     }
 }
 
-/// What one modeled SU wants next, mirroring `SuAction`.
-pub enum ModelSuStep {
-    /// Send these frames, then wait out `deadline_ns` of virtual time.
-    Wait {
-        /// Frames for the SDC, in order.
-        sends: Vec<ModelMsg>,
-        /// Full receive deadline (re-armed even after rejects).
-        deadline_ns: u64,
-    },
-    /// Terminal state.
-    Done {
-        /// `Some(granted)`, or `None` when the retry budget ran dry.
-        granted: Option<bool>,
-        /// Requests sent.
-        attempts: u32,
-    },
-}
-
-/// One modeled SU session: the exact state machine of
-/// `SuSessionEngine` over model frames.
-pub struct ModelSu {
+/// One modeled SU and its (only) request.
+pub struct PlaintextSu {
     su: u32,
-    session: u64,
     digest: u64,
-    attempt: u32,
-    max_retries: u32,
-    timeout_ns: u64,
-    corrupt_possible: bool,
-    wire: ModelWire,
-    metrics: NetMetrics,
+    bytes: usize,
 }
 
-impl ModelSu {
-    /// A session for SU `su` under the given retry policy.
-    pub fn new(
-        su: u32,
-        engine: &EngineConfig,
-        corrupt_possible: bool,
-        wire: ModelWire,
-        metrics: NetMetrics,
-    ) -> Self {
-        ModelSu {
+impl PlaintextSu {
+    /// SU `su`, requesting with its canonical digest.
+    pub fn new(su: u32, wire: ModelWire) -> Self {
+        PlaintextSu {
             su,
-            session: u64::from(su),
             digest: model_digest(su),
-            attempt: 0,
-            max_retries: engine.max_retries,
-            timeout_ns: u64::try_from(engine.timeout.as_nanos()).unwrap_or(u64::MAX),
-            corrupt_possible,
-            wire,
-            metrics,
+            bytes: wire.request,
+        }
+    }
+}
+
+impl SessionCrypto for Plaintext {
+    type Msg = ModelMsg;
+    type Digest = u64;
+    type Request = ();
+    type Reply = ();
+    /// The plaintext decision phase 1 reached — the model's ε.
+    type Query = bool;
+    /// The released decision.
+    type Response = bool;
+    type Sdc = PlaintextSdc;
+    type Stp = PlaintextStp;
+    type Su = PlaintextSu;
+
+    fn session(msg: &ModelMsg) -> u64 {
+        msg.session
+    }
+
+    fn sdc_frame(msg: ModelMsg) -> SdcFrame<Self> {
+        match msg.payload {
+            ModelPayload::Request { su, digest } => SdcFrame::Request {
+                su: SuId(su),
+                attempt: msg.attempt,
+                digest,
+                request: (),
+            },
+            ModelPayload::Reply { su, .. } => SdcFrame::Reply {
+                su: SuId(su),
+                attempt: msg.attempt,
+                reply: (),
+            },
+            _ => SdcFrame::Other {
+                session: msg.session,
+            },
         }
     }
 
-    fn request(&self) -> ModelMsg {
-        self.wire.sized(
-            self.session,
-            self.attempt,
-            ModelPayload::Request {
-                su: self.su,
-                digest: self.digest,
+    fn phase1(sdc: &mut PlaintextSdc, su: SuId, digest: u64, _request: ()) -> Option<bool> {
+        // A digest that is not the SU's canonical one is a corrupted
+        // request: garbage plaintexts can never satisfy every budget, so
+        // it resolves to a denial — exactly like the encrypted path.
+        Some(digest == model_digest(su.0) && sdc.oracle.su_decision(su.0))
+    }
+
+    fn phase2(
+        sdc: &mut PlaintextSdc,
+        su: SuId,
+        _reply: (),
+        granted: &bool,
+    ) -> Result<bool, Phase2Error> {
+        // An unknown SU has no key directory entry.
+        if su.0 >= sdc.sus {
+            return Err(Phase2Error::Rejected);
+        }
+        Ok(*granted)
+    }
+
+    fn query_frame(sdc: &PlaintextSdc, su: SuId, attempt: u32, digest: u64, _: &bool) -> ModelMsg {
+        sdc.wire.sized(
+            u64::from(su.0),
+            attempt,
+            ModelPayload::Query { su: su.0, digest },
+        )
+    }
+
+    fn response_frame(
+        sdc: &PlaintextSdc,
+        su: SuId,
+        attempt: u32,
+        digest: u64,
+        granted: &bool,
+    ) -> ModelMsg {
+        sdc.wire.sized(
+            u64::from(su.0),
+            attempt,
+            ModelPayload::Response {
+                su: su.0,
+                digest,
+                granted: *granted,
+                garbled: false,
             },
         )
     }
 
-    /// Exponential-backoff deadline, mirroring `EngineConfig::deadline`.
-    fn deadline_ns(&self) -> u64 {
-        self.timeout_ns.saturating_mul(1 << self.attempt.min(3))
-    }
-
-    fn wait(&self, sends: Vec<ModelMsg>) -> ModelSuStep {
-        ModelSuStep::Wait {
-            sends,
-            deadline_ns: self.deadline_ns(),
+    fn key_convert(stp: &mut PlaintextStp, msg: ModelMsg) -> Option<ModelMsg> {
+        match msg.payload {
+            ModelPayload::Query { su, digest } if su < stp.sus => Some(stp.wire.sized(
+                msg.session,
+                msg.attempt,
+                ModelPayload::Reply { su, digest },
+            )),
+            _ => None,
         }
     }
 
-    fn finish(&self, granted: Option<bool>) -> ModelSuStep {
-        ModelSuStep::Done {
-            granted,
-            attempts: self.attempt + 1,
+    fn su_id(su: &PlaintextSu) -> SuId {
+        SuId(su.su)
+    }
+
+    fn request_frame(su: &PlaintextSu, attempt: u32) -> ModelMsg {
+        ModelMsg {
+            session: u64::from(su.su),
+            attempt,
+            payload: ModelPayload::Request {
+                su: su.su,
+                digest: su.digest,
+            },
+            bytes: su.bytes,
         }
     }
 
-    fn retry(&mut self) -> ModelSuStep {
-        self.attempt += 1;
-        self.metrics.record_session_retry(self.session);
-        self.wait(vec![self.request()])
-    }
-
-    /// Kicks the session off: the attempt-0 request and its deadline.
-    pub fn start(&self) -> ModelSuStep {
-        self.wait(vec![self.request()])
-    }
-
-    /// A frame was delivered to this SU.
-    pub fn on_frame(&mut self, frame: ModelMsg) -> ModelSuStep {
-        match frame.payload {
+    fn verify_response(su: &PlaintextSu, msg: ModelMsg) -> Option<bool> {
+        match msg.payload {
+            // Corruption can garble a grant, never forge one.
             ModelPayload::Response {
-                su,
+                su: to,
                 digest,
                 granted,
                 garbled,
-            } if su == self.su && digest == self.digest => {
-                if granted && !garbled {
-                    // A verified grant is final (corruption cannot
-                    // forge a signature).
-                    return self.finish(Some(true));
-                }
-                if !self.corrupt_possible {
-                    // Links never mangle payloads: an unverifiable
-                    // response IS the deny.
-                    return self.finish(Some(false));
-                }
-                // Denial or flipped bit — indistinguishable; spend a
-                // retry to find out.
-                self.metrics.record_session_reject(self.session);
-                if self.attempt >= self.max_retries {
-                    return self.finish(Some(false));
-                }
-                self.retry()
-            }
-            // Foreign digest / foreign SU / out-of-protocol: reject
-            // and wait out a fresh full deadline.
-            _ => {
-                self.metrics.record_session_reject(self.session);
-                self.wait(Vec::new())
-            }
+            } if to == su.su && digest == su.digest => Some(granted && !garbled),
+            _ => None,
         }
-    }
-
-    /// The receive deadline expired with nothing acceptable.
-    pub fn on_timeout(&mut self) -> ModelSuStep {
-        self.metrics.record_session_timeout(self.session);
-        if self.attempt >= self.max_retries {
-            return self.finish(None);
-        }
-        self.retry()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pisa::{
+        EngineConfig, SdcSessionEngine, StpSessionEngine, SuAction, SuEvent, SuSessionEngine,
+    };
+    use pisa_net::{NetMetrics, Party};
 
     fn wire() -> ModelWire {
         ModelWire::new(4, 25, 96)
@@ -668,6 +502,17 @@ mod tests {
         assert!(oracle.cache.len() <= cfg.blocks() * cfg.channels());
     }
 
+    fn parties(
+        sus: u32,
+        oracle: ModelOracle,
+        metrics: &NetMetrics,
+    ) -> (SdcSessionEngine<Plaintext>, StpSessionEngine<Plaintext>) {
+        (
+            SdcSessionEngine::from_party(PlaintextSdc::new(sus, oracle, wire()), metrics.clone()),
+            StpSessionEngine::from_party(PlaintextStp::new(sus, wire()), metrics.clone()),
+        )
+    }
+
     #[test]
     fn quiet_round_grants_per_oracle() {
         let cfg = WatchConfig::small_test();
@@ -675,26 +520,25 @@ mod tests {
         let mut oracle = ModelOracle::new(&cfg);
         let su_id = 5u32;
         let expect = oracle.su_decision(su_id);
-        let mut sdc = ModelSdc::new(16, oracle, wire(), metrics.clone());
-        let mut stp = ModelStp::new(16, wire(), metrics.clone());
+        let (mut sdc, mut stp) = parties(16, oracle, &metrics);
         let engine = EngineConfig::default();
-        let mut su = ModelSu::new(su_id, &engine, false, wire(), metrics);
+        let mut su: SuSessionEngine<Plaintext> =
+            SuSessionEngine::from_party(PlaintextSu::new(su_id, wire()), &engine, false, metrics);
 
-        let ModelSuStep::Wait { sends, .. } = su.start() else {
+        let SuAction::Continue { sends, .. } = su.start() else {
             panic!("fresh session cannot be terminal");
         };
-        let query = sdc.handle(sends[0]);
-        assert_eq!(query.len(), 1);
-        assert_eq!(query[0].0, Party::Stp);
-        let reply = stp.handle(query[0].1);
-        let response = sdc.handle(reply[0].1);
-        assert_eq!(response[0].0, Party::Su(su_id));
-        match su.on_frame(response[0].1) {
-            ModelSuStep::Done { granted, attempts } => {
-                assert_eq!(granted, Some(expect));
-                assert_eq!(attempts, 1);
+        let (to, query) = sdc.handle(sends[0]).expect("phase 1 queries the STP");
+        assert_eq!(to, Party::Stp);
+        let (_, reply) = stp.handle(query).expect("registered SU converts");
+        let (to, response) = sdc.handle(reply).expect("phase 2 releases");
+        assert_eq!(to, Party::Su(su_id));
+        match su.on_event(SuEvent::Frame(response)) {
+            SuAction::Finish(outcome) => {
+                assert_eq!(outcome.granted, Some(expect));
+                assert_eq!(outcome.attempts, 1);
             }
-            ModelSuStep::Wait { .. } => panic!("matching response must be terminal"),
+            SuAction::Continue { .. } => panic!("matching response must be terminal"),
         }
     }
 
@@ -702,9 +546,7 @@ mod tests {
     fn replayed_request_is_idempotent_and_stale_reply_rejected() {
         let cfg = WatchConfig::small_test();
         let metrics = NetMetrics::new();
-        let oracle = ModelOracle::new(&cfg);
-        let mut sdc = ModelSdc::new(8, oracle, wire(), metrics.clone());
-        let mut stp = ModelStp::new(8, wire(), metrics.clone());
+        let (mut sdc, mut stp) = parties(8, ModelOracle::new(&cfg), &metrics);
         let req = wire().sized(
             2,
             0,
@@ -713,24 +555,21 @@ mod tests {
                 digest: model_digest(2),
             },
         );
-        let q1 = sdc.handle(req);
+        let q1 = sdc.handle(req).expect("phase 1 queries the STP");
         // Duplicate request while awaiting the STP: resend, not
         // re-blind (same query again).
-        let q2 = sdc.handle(req);
-        assert_eq!(q1, q2);
-        let reply = stp.handle(q1[0].1);
-        let r1 = sdc.handle(reply[0].1);
+        assert_eq!(sdc.handle(req), Some(q1));
+        let (_, reply) = stp.handle(q1.1).expect("registered SU converts");
+        let r1 = sdc.handle(reply).expect("phase 2 releases");
         assert!(matches!(
-            r1[0].1.payload,
+            r1.1.payload,
             ModelPayload::Response { garbled: false, .. }
         ));
         // Replay of the answered request: identical response, no state
         // change.
-        let r2 = sdc.handle(req);
-        assert_eq!(r1, r2);
+        assert_eq!(sdc.handle(req), Some(r1));
         // A duplicate of the consumed reply is rejected.
-        let rejected = sdc.handle(reply[0].1);
-        assert!(rejected.is_empty());
+        assert_eq!(sdc.handle(reply), None);
         assert!(metrics.session_totals().rejected >= 1);
     }
 
@@ -738,37 +577,42 @@ mod tests {
     fn su_timeout_exhaustion_and_full_deadline_rearm() {
         let metrics = NetMetrics::new();
         let engine = EngineConfig::default().with_max_retries(2);
-        let mut su = ModelSu::new(1, &engine, true, wire(), metrics.clone());
-        let base = u64::try_from(engine.timeout.as_nanos()).unwrap();
-        let ModelSuStep::Wait { deadline_ns, .. } = su.start() else {
+        let mut su: SuSessionEngine<Plaintext> = SuSessionEngine::from_party(
+            PlaintextSu::new(1, wire()),
+            &engine,
+            true,
+            metrics.clone(),
+        );
+        let base = engine.timeout;
+        let SuAction::Continue { deadline, .. } = su.start() else {
             panic!("fresh session cannot be terminal");
         };
-        assert_eq!(deadline_ns, base);
+        assert_eq!(deadline, base);
         // Foreign frame: reject, re-arm the FULL current deadline, no
         // sends.
         let foreign = wire().sized(9, 0, ModelPayload::Request { su: 9, digest: 0 });
-        match su.on_frame(foreign) {
-            ModelSuStep::Wait { sends, deadline_ns } => {
+        match su.on_event(SuEvent::Frame(foreign)) {
+            SuAction::Continue { sends, deadline } => {
                 assert!(sends.is_empty());
-                assert_eq!(deadline_ns, base);
+                assert_eq!(deadline, base);
             }
-            ModelSuStep::Done { .. } => panic!("foreign frame must not finish the session"),
+            SuAction::Finish(_) => panic!("foreign frame must not finish the session"),
         }
         // Timeouts: exponential backoff, then budget exhaustion.
-        match su.on_timeout() {
-            ModelSuStep::Wait { sends, deadline_ns } => {
+        match su.on_event(SuEvent::Timeout) {
+            SuAction::Continue { sends, deadline } => {
                 assert_eq!(sends.len(), 1);
-                assert_eq!(deadline_ns, base * 2);
+                assert_eq!(deadline, base * 2);
             }
-            ModelSuStep::Done { .. } => panic!("retry budget not exhausted yet"),
+            SuAction::Finish(_) => panic!("retry budget not exhausted yet"),
         }
-        let _ = su.on_timeout();
-        match su.on_timeout() {
-            ModelSuStep::Done { granted, attempts } => {
-                assert_eq!(granted, None);
-                assert_eq!(attempts, 3);
+        let _ = su.on_event(SuEvent::Timeout);
+        match su.on_event(SuEvent::Timeout) {
+            SuAction::Finish(outcome) => {
+                assert_eq!(outcome.granted, None);
+                assert_eq!(outcome.attempts, 3);
             }
-            ModelSuStep::Wait { .. } => panic!("budget of 2 retries must be exhausted"),
+            SuAction::Continue { .. } => panic!("budget of 2 retries must be exhausted"),
         }
         assert_eq!(metrics.session_totals().timeouts, 3);
         assert_eq!(metrics.session_totals().retries, 2);

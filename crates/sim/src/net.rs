@@ -41,6 +41,23 @@ pub struct Delivery<M> {
 
 /// The virtual-time network: same fault semantics as the threaded
 /// [`pisa_net::Network`], inverted control.
+///
+/// # Examples
+///
+/// ```
+/// use pisa_net::Party;
+/// use pisa_sim::SimNet;
+///
+/// // A perfect network: every send lands at the send instant, in send order.
+/// let mut net: SimNet<Vec<u8>> = SimNet::new(None, 0.0);
+/// let mut out = Vec::new();
+/// net.send(10, Party::Sdc, Party::Stp, vec![1, 2, 3], &mut out);
+/// net.send(10, Party::Stp, Party::Su(0), vec![4], &mut out);
+/// assert_eq!(out.len(), 2);
+/// assert_eq!((out[0].at, out[0].to, &out[0].msg), (10, Party::Stp, &vec![1, 2, 3]));
+/// assert_eq!((out[1].from, out[1].to), (Party::Stp, Party::Su(0)));
+/// assert_eq!(net.metrics().total_bytes(), 4);
+/// ```
 pub struct SimNet<M> {
     lottery: Option<FaultLottery>,
     corruptor: Option<Corruptor<M>>,
@@ -195,6 +212,27 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].at, 5);
         assert_eq!(net.metrics().total_bytes(), 3);
+    }
+
+    #[test]
+    fn sends_from_several_parties_keep_send_order() {
+        // The storm loop routes every engine output straight into
+        // `send`; deliveries must come out in exactly that order.
+        let mut net: SimNet<Vec<u8>> = SimNet::new(None, 0.0);
+        let mut out = Vec::new();
+        net.send(7, Party::Su(3), Party::Sdc, vec![1], &mut out);
+        net.send(7, Party::Sdc, Party::Stp, vec![2], &mut out);
+        net.send(7, Party::Su(3), Party::Sdc, vec![3], &mut out);
+        let seen: Vec<_> = out.iter().map(|d| (d.from, d.to, d.msg.clone())).collect();
+        assert_eq!(
+            seen,
+            vec![
+                (Party::Su(3), Party::Sdc, vec![1]),
+                (Party::Sdc, Party::Stp, vec![2]),
+                (Party::Su(3), Party::Sdc, vec![3]),
+            ]
+        );
+        assert!(out.iter().all(|d| d.at == 7));
     }
 
     #[test]

@@ -1,31 +1,32 @@
-//! The storm driver: one event loop, two fidelities.
+//! The storm driver: one event loop and one set of session engines,
+//! two fidelities.
 //!
 //! [`run_sim_storm`] replays the `pisa storm` scenario — N concurrent
 //! SU sessions against one SDC and one STP over a faulty network — on
-//! virtual time. In [`Fidelity::Real`] the loop drives the *actual*
-//! `pisa-core` session engines (Paillier, blinding, RSA licenses and
-//! all) through [`SimTransport`](crate::SimTransport) and
-//! [`SimNet`](crate::SimNet); in [`Fidelity::Modeled`] it drives the
-//! plaintext mirrors from [`crate::model`], which makes a 10⁵-session
-//! storm a sub-second affair while keeping the session semantics —
-//! retries, replays, reorder holdback, corruption — bit-exact.
+//! virtual time. Both fidelities run the `pisa-core` session engines
+//! through [`SimNet`](crate::SimNet): [`Fidelity::Real`] instantiates
+//! them over [`PaillierRsa`] (Paillier, blinding, RSA licenses and
+//! all), [`Fidelity::Modeled`] over the plaintext [`Plaintext`] model,
+//! which makes a 10⁵-session storm a sub-second affair while keeping
+//! the session semantics — retries, replays, reorder holdback,
+//! corruption — bit-exact.
 //!
-//! Both fidelities share one generic [`drive`] loop, so an event-order
-//! bug cannot hide in just one of them.
+//! One generic [`drive`] loop and one [`Parties`] table serve both, so
+//! neither an event-order bug nor a session-table bug can hide in just
+//! one of them.
 
 use crate::event::EventQueue;
 use crate::model::{
-    corrupt_model_frame, ModelMsg, ModelOracle, ModelSdc, ModelStp, ModelSu, ModelSuStep, ModelWire,
+    corrupt_model_frame, ModelOracle, ModelWire, Plaintext, PlaintextSdc, PlaintextStp, PlaintextSu,
 };
 use crate::net::{Delivery, SimNet};
 use crate::report::{decisions_digest, SimOutcome, StormReport};
-use crate::transport::SimTransport;
 use pisa::{
-    corrupt_session_frame, EngineConfig, PisaError, PuClient, SdcServer, SdcSessionEngine,
-    SessionMsg, StpServer, StpSessionEngine, SuAction, SuClient, SuEvent, SuSessionEngine,
-    SuSessionParams, SystemConfig,
+    corrupt_session_frame, EngineConfig, PaillierRsa, PisaError, PuClient, SdcServer,
+    SdcSessionEngine, SessionCrypto, StpServer, StpSessionEngine, SuAction, SuClient, SuEvent,
+    SuSessionEngine, SuSessionParams, SystemConfig,
 };
-use pisa_net::{FaultConfig, FaultPlan, LatencyModel, Party, Transport, WireSize};
+use pisa_net::{FaultConfig, FaultPlan, LatencyModel, Party, WireSize};
 use pisa_radio::tv::Channel;
 use pisa_radio::BlockId;
 use rand::rngs::StdRng;
@@ -39,7 +40,7 @@ pub enum Fidelity {
     /// The real `pisa-core` engines: every ciphertext computed. Costs
     /// real crypto time per session; right for ≲10³ SUs.
     Real,
-    /// The plaintext mirrors: same state machines, decisions from the
+    /// The same engines over the plaintext model: decisions from the
     /// WATCH oracle, analytic wire sizes. Right for 10⁴–10⁵ SUs.
     Modeled,
 }
@@ -60,7 +61,7 @@ impl Fidelity {
 pub struct SimConfig {
     /// Concurrent SU sessions.
     pub sus: u32,
-    /// Real engines or plaintext mirrors.
+    /// Real crypto or the plaintext model.
     pub fidelity: Fidelity,
     /// Fault probabilities applied to every link.
     pub plan: FaultPlan,
@@ -128,33 +129,43 @@ impl SimConfig {
     }
 }
 
-/// What one SU session wants next, fidelity-neutral.
-enum SuStep<M> {
-    Wait {
-        sends: Vec<M>,
-        deadline_ns: u64,
-    },
-    Done {
-        granted: Option<bool>,
-        attempts: u32,
-    },
+/// The three parties of one storm, over either crypto.
+struct Parties<C: SessionCrypto> {
+    sdc: SdcSessionEngine<C>,
+    stp: StpSessionEngine<C>,
+    sus: Vec<SuSessionEngine<C>>,
+    /// Index of every SU whose id differs from its index (none in the
+    /// canonical population).
+    index_of: HashMap<u32, u32>,
 }
 
-/// The fidelity seam: the driver talks to the parties only through
-/// this surface, so real and modeled storms share every line of the
-/// event loop.
-trait StormLogic {
-    type Msg: Clone + WireSize;
-    fn su_count(&self) -> u32;
-    /// The network address of SU index `i`.
-    fn su_party(&self, i: u32) -> Party;
+impl<C: SessionCrypto> Parties<C> {
+    fn new(
+        sdc: SdcSessionEngine<C>,
+        stp: StpSessionEngine<C>,
+        sus: Vec<SuSessionEngine<C>>,
+    ) -> Self {
+        let index_of = sus
+            .iter()
+            .enumerate()
+            .filter(|&(i, su)| slot(su.su_id().0) != i)
+            .map(|(i, su)| (su.su_id().0, narrow(i)))
+            .collect();
+        Parties {
+            sdc,
+            stp,
+            sus,
+            index_of,
+        }
+    }
+
     /// Maps a delivered `Party::Su(id)` back to an index.
-    fn su_index(&self, id: u32) -> Option<u32>;
-    fn su_start(&mut self, i: u32) -> SuStep<Self::Msg>;
-    fn su_frame(&mut self, i: u32, msg: Self::Msg) -> SuStep<Self::Msg>;
-    fn su_timeout(&mut self, i: u32) -> SuStep<Self::Msg>;
-    fn sdc_handle(&mut self, msg: Self::Msg) -> Vec<(Party, Self::Msg)>;
-    fn stp_handle(&mut self, msg: Self::Msg) -> Vec<(Party, Self::Msg)>;
+    fn su_index(&self, id: u32) -> Option<u32> {
+        if self.sus.get(slot(id)).is_some_and(|su| su.su_id().0 == id) {
+            return Some(id);
+        }
+        self.index_of.get(&id).copied()
+    }
 }
 
 /// An event on the heap: a scheduled delivery, or an SU receive
@@ -218,11 +229,12 @@ impl<M: Clone + WireSize> DriveState<M> {
         self.done.get(slot(i)).is_some_and(Option::is_some)
     }
 
-    /// Applies one SU step at virtual time `now`: route its sends into
-    /// the network and (re-)arm its deadline, or record its outcome.
-    fn apply(&mut self, net: &mut SimNet<M>, from: Party, i: u32, step: SuStep<M>, now: u64) {
-        match step {
-            SuStep::Wait { sends, deadline_ns } => {
+    /// Applies one SU action at virtual time `now`: route its sends
+    /// into the network and (re-)arm its deadline, or record its
+    /// outcome.
+    fn apply(&mut self, net: &mut SimNet<M>, from: Party, i: u32, action: SuAction<M>, now: u64) {
+        match action {
+            SuAction::Continue { sends, deadline } => {
                 for msg in sends {
                     net.send(now, from, Party::Sdc, msg, &mut self.deliveries);
                 }
@@ -231,14 +243,15 @@ impl<M: Clone + WireSize> DriveState<M> {
                 };
                 *epoch = epoch.wrapping_add(1);
                 let epoch = *epoch;
+                let deadline_ns = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
                 self.queue.push(
                     now.saturating_add(deadline_ns),
                     Ev::SuTimeout { su: i, epoch },
                 );
             }
-            SuStep::Done { granted, attempts } => {
+            SuAction::Finish(outcome) => {
                 if let Some(d) = self.done.get_mut(slot(i)) {
-                    *d = Some((granted, attempts));
+                    *d = Some((outcome.granted, outcome.attempts));
                 }
                 if let Some(f) = self.finish_ns.get_mut(slot(i)) {
                     *f = now;
@@ -258,17 +271,20 @@ impl<M: Clone + WireSize> DriveState<M> {
 /// The discrete-event loop: pop the earliest event, advance the clock,
 /// let the party schedule more. Runs until the heap drains (every
 /// session terminal, nothing in flight) or the event cap trips.
-fn drive<L: StormLogic>(logic: &mut L, net: &mut SimNet<L::Msg>) -> DriveResult {
-    let n = logic.su_count();
+fn drive<C>(parties: &mut Parties<C>, net: &mut SimNet<C::Msg>) -> DriveResult
+where
+    C: SessionCrypto,
+    C::Msg: Clone + WireSize,
+{
+    let n = narrow(parties.sus.len());
     let cap = EVENTS_PER_SU * u64::from(n) + EVENT_FLOOR;
-    let mut st: DriveState<L::Msg> = DriveState::new(n);
+    let mut st: DriveState<C::Msg> = DriveState::new(n);
     let mut now = 0u64;
     let mut events = 0u64;
     let mut truncated = false;
 
-    for i in 0..n {
-        let step = logic.su_start(i);
-        st.apply(net, logic.su_party(i), i, step, 0);
+    for (i, su) in (0..n).zip(&parties.sus) {
+        st.apply(net, Party::Su(su.su_id().0), i, su.start(), 0);
         st.commit();
     }
 
@@ -282,12 +298,12 @@ fn drive<L: StormLogic>(logic: &mut L, net: &mut SimNet<L::Msg>) -> DriveResult 
         match ev {
             Ev::Deliver(d) => match d.to {
                 Party::Sdc => {
-                    for (to, msg) in logic.sdc_handle(d.msg) {
+                    if let Some((to, msg)) = parties.sdc.handle(d.msg) {
                         net.send(now, Party::Sdc, to, msg, &mut st.deliveries);
                     }
                 }
                 Party::Stp => {
-                    for (to, msg) in logic.stp_handle(d.msg) {
+                    if let Some((to, msg)) = parties.stp.handle(d.msg) {
                         net.send(now, Party::Stp, to, msg, &mut st.deliveries);
                     }
                 }
@@ -295,19 +311,24 @@ fn drive<L: StormLogic>(logic: &mut L, net: &mut SimNet<L::Msg>) -> DriveResult 
                     // A corrupted frame can name a party that does not
                     // exist; the threaded network's send just errors,
                     // here the delivery is simply unclaimed.
-                    if let Some(i) = logic.su_index(id) {
+                    if let Some(i) = parties.su_index(id) {
                         if !st.is_done(i) {
-                            let step = logic.su_frame(i, d.msg);
-                            st.apply(net, logic.su_party(i), i, step, now);
+                            if let Some(su) = parties.sus.get_mut(slot(i)) {
+                                let action = su.on_event(SuEvent::Frame(d.msg));
+                                st.apply(net, Party::Su(id), i, action, now);
+                            }
                         }
                     }
                 }
                 Party::Pu(_) => {}
             },
-            Ev::SuTimeout { su, epoch } => {
-                if !st.is_done(su) && st.epochs.get(slot(su)) == Some(&epoch) {
-                    let step = logic.su_timeout(su);
-                    st.apply(net, logic.su_party(su), su, step, now);
+            Ev::SuTimeout { su: i, epoch } => {
+                if !st.is_done(i) && st.epochs.get(slot(i)) == Some(&epoch) {
+                    if let Some(su) = parties.sus.get_mut(slot(i)) {
+                        let from = Party::Su(su.su_id().0);
+                        let action = su.on_event(SuEvent::Timeout);
+                        st.apply(net, from, i, action, now);
+                    }
                 }
             }
         }
@@ -322,10 +343,7 @@ fn drive<L: StormLogic>(logic: &mut L, net: &mut SimNet<L::Msg>) -> DriveResult 
     let mut outcomes = Vec::with_capacity(slot(n));
     let mut unfinished = 0u32;
     for i in 0..n {
-        let su = match logic.su_party(i) {
-            Party::Su(id) => id,
-            _ => i,
-        };
+        let su = parties.sus.get(slot(i)).map_or(i, |su| su.su_id().0);
         let (granted, attempts) = match st.done.get(slot(i)).copied().flatten() {
             Some((granted, attempts)) => (granted, attempts),
             None => {
@@ -416,100 +434,6 @@ fn assemble(
     }
 }
 
-// ---------------------------------------------------------------------
-// Real fidelity
-// ---------------------------------------------------------------------
-
-/// The real engines behind the [`StormLogic`] seam. The SDC and STP
-/// send through [`SimTransport`] — the same `Transport` surface the
-/// threaded endpoints implement — so the engines stay byte-for-byte
-/// the ones the threaded storm runs.
-struct RealLogic {
-    sdc: SdcSessionEngine,
-    stp: StpSessionEngine,
-    sdc_tx: SimTransport<SessionMsg>,
-    stp_tx: SimTransport<SessionMsg>,
-    sus: Vec<SuSessionEngine>,
-    index_of: HashMap<u32, u32>,
-}
-
-impl StormLogic for RealLogic {
-    type Msg = SessionMsg;
-
-    fn su_count(&self) -> u32 {
-        narrow(self.sus.len())
-    }
-
-    fn su_party(&self, i: u32) -> Party {
-        match self.sus.get(slot(i)) {
-            Some(su) => Party::Su(su.su_id().0),
-            None => Party::Su(i),
-        }
-    }
-
-    fn su_index(&self, id: u32) -> Option<u32> {
-        self.index_of.get(&id).copied()
-    }
-
-    fn su_start(&mut self, i: u32) -> SuStep<SessionMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => action_to_step(su.start()),
-            None => missing_su(),
-        }
-    }
-
-    fn su_frame(&mut self, i: u32, msg: SessionMsg) -> SuStep<SessionMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => action_to_step(su.on_event(SuEvent::Frame(msg))),
-            None => missing_su(),
-        }
-    }
-
-    fn su_timeout(&mut self, i: u32) -> SuStep<SessionMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => action_to_step(su.on_event(SuEvent::Timeout)),
-            None => missing_su(),
-        }
-    }
-
-    fn sdc_handle(&mut self, msg: SessionMsg) -> Vec<(Party, SessionMsg)> {
-        for (to, frame) in self.sdc.handle(msg) {
-            let _ = self.sdc_tx.try_send(to, frame);
-        }
-        self.sdc_tx.drain()
-    }
-
-    fn stp_handle(&mut self, msg: SessionMsg) -> Vec<(Party, SessionMsg)> {
-        for (to, frame) in self.stp.handle(msg) {
-            let _ = self.stp_tx.try_send(to, frame);
-        }
-        self.stp_tx.drain()
-    }
-}
-
-/// The step for an out-of-range SU index. [`drive`] only produces
-/// indices below `su_count`, so this is dead in practice; a terminal
-/// no-outcome step keeps the loop honest instead of panicking.
-fn missing_su<M>() -> SuStep<M> {
-    SuStep::Done {
-        granted: None,
-        attempts: 0,
-    }
-}
-
-fn action_to_step(action: SuAction) -> SuStep<SessionMsg> {
-    match action {
-        SuAction::Continue { sends, deadline } => SuStep::Wait {
-            sends,
-            deadline_ns: u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX),
-        },
-        SuAction::Finish(outcome) => SuStep::Done {
-            granted: outcome.granted,
-            attempts: outcome.attempts,
-        },
-    }
-}
-
 /// Runs a real-fidelity storm on virtual time over explicitly built
 /// parties — the same signature shape as `pisa::run_storm`, which is
 /// exactly what the sim-vs-threaded equivalence test wants. The per-SU
@@ -541,7 +465,7 @@ pub fn run_sim_storm_with(
         .collect::<Result<_, PisaError>>()?;
     let corrupt_possible = faults.as_ref().is_some_and(FaultConfig::any_corruption);
 
-    let mut net: SimNet<SessionMsg> = SimNet::new(faults, jitter);
+    let mut net = SimNet::new(faults, jitter);
     net.set_corruptor(Arc::new(corrupt_session_frame));
     let metrics = net.metrics().clone();
 
@@ -557,89 +481,20 @@ pub fn run_sim_storm_with(
         engine,
         metrics: &metrics,
     };
-    let mut engines = Vec::with_capacity(sus.len());
-    let mut index_of = HashMap::with_capacity(sus.len());
-    for (i, (su, channels)) in sus.into_iter().enumerate() {
-        // The same dedicated request-randomness stream as the threaded
-        // storm's SU thread.
-        let mut rng = StdRng::seed_from_u64(seed ^ (0x50 + i as u64));
-        index_of.insert(su.id().0, narrow(i));
-        engines.push(SuSessionEngine::new(su, &channels, &params, &mut rng));
-    }
+    let engines: Vec<SuSessionEngine<PaillierRsa>> = sus
+        .into_iter()
+        .enumerate()
+        .map(|(i, (su, channels))| {
+            // The same dedicated request-randomness stream as the
+            // threaded storm's SU thread.
+            let mut rng = StdRng::seed_from_u64(seed ^ (0x50 + i as u64));
+            SuSessionEngine::new(su, &channels, &params, &mut rng)
+        })
+        .collect();
 
-    let mut logic = RealLogic {
-        sdc: sdc_engine,
-        stp: stp_engine,
-        sdc_tx: SimTransport::new(Party::Sdc),
-        stp_tx: SimTransport::new(Party::Stp),
-        sus: engines,
-        index_of,
-    };
-    let result = drive(&mut logic, &mut net);
+    let mut parties = Parties::new(sdc_engine, stp_engine, engines);
+    let result = drive(&mut parties, &mut net);
     Ok(assemble(seed, Fidelity::Real, &net, result, Vec::new()))
-}
-
-// ---------------------------------------------------------------------
-// Modeled fidelity
-// ---------------------------------------------------------------------
-
-/// The plaintext mirrors behind the [`StormLogic`] seam.
-struct ModelLogic {
-    sdc: ModelSdc,
-    stp: ModelStp,
-    sus: Vec<ModelSu>,
-}
-
-impl StormLogic for ModelLogic {
-    type Msg = ModelMsg;
-
-    fn su_count(&self) -> u32 {
-        narrow(self.sus.len())
-    }
-
-    fn su_party(&self, i: u32) -> Party {
-        Party::Su(i)
-    }
-
-    fn su_index(&self, id: u32) -> Option<u32> {
-        (id < self.su_count()).then_some(id)
-    }
-
-    fn su_start(&mut self, i: u32) -> SuStep<ModelMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => model_step(su.start()),
-            None => missing_su(),
-        }
-    }
-
-    fn su_frame(&mut self, i: u32, msg: ModelMsg) -> SuStep<ModelMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => model_step(su.on_frame(msg)),
-            None => missing_su(),
-        }
-    }
-
-    fn su_timeout(&mut self, i: u32) -> SuStep<ModelMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => model_step(su.on_timeout()),
-            None => missing_su(),
-        }
-    }
-
-    fn sdc_handle(&mut self, msg: ModelMsg) -> Vec<(Party, ModelMsg)> {
-        self.sdc.handle(msg)
-    }
-
-    fn stp_handle(&mut self, msg: ModelMsg) -> Vec<(Party, ModelMsg)> {
-        self.stp.handle(msg)
-    }
-}
-
-fn model_step(step: ModelSuStep) -> SuStep<ModelMsg> {
-    match step {
-        ModelSuStep::Wait { sends, deadline_ns } => SuStep::Wait { sends, deadline_ns },
-        ModelSuStep::Done { granted, attempts } => SuStep::Done { granted, attempts },
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -689,7 +544,7 @@ pub fn run_sim_storm(seed: u64, config: &SimConfig) -> StormReport {
             let ct_bytes = cfg.paillier_bits() * 2 / 8;
             let wire = ModelWire::new(cfg.channels(), cfg.blocks(), ct_bytes);
 
-            let mut net: SimNet<ModelMsg> = SimNet::new(faults, config.jitter);
+            let mut net = SimNet::new(faults, config.jitter);
             net.set_corruptor(Arc::new(corrupt_model_frame));
             let metrics = net.metrics().clone();
             let corrupt_possible = net.corrupt_possible();
@@ -699,17 +554,24 @@ pub fn run_sim_storm(seed: u64, config: &SimConfig) -> StormReport {
                 .map(|i| expected_oracle.su_decision(i))
                 .collect();
 
-            let oracle = ModelOracle::new(&watch);
-            let mut logic = ModelLogic {
-                sdc: ModelSdc::new(config.sus, oracle, wire, metrics.clone()),
-                stp: ModelStp::new(config.sus, wire, metrics.clone()),
-                sus: (0..config.sus)
-                    .map(|i| {
-                        ModelSu::new(i, &config.engine, corrupt_possible, wire, metrics.clone())
-                    })
-                    .collect(),
-            };
-            let result = drive(&mut logic, &mut net);
+            let sdc = PlaintextSdc::new(config.sus, ModelOracle::new(&watch), wire);
+            let sus = (0..config.sus)
+                .map(|i| {
+                    let su = PlaintextSu::new(i, wire);
+                    SuSessionEngine::from_party(
+                        su,
+                        &config.engine,
+                        corrupt_possible,
+                        metrics.clone(),
+                    )
+                })
+                .collect();
+            let mut parties: Parties<Plaintext> = Parties::new(
+                SdcSessionEngine::from_party(sdc, metrics.clone()),
+                StpSessionEngine::from_party(PlaintextStp::new(config.sus, wire), metrics.clone()),
+                sus,
+            );
+            let result = drive(&mut parties, &mut net);
             assemble(seed, Fidelity::Modeled, &net, result, expected)
         }
     }

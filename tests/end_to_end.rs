@@ -1,12 +1,25 @@
 //! End-to-end protocol tests: the full Figure 3 / Figure 5 flow.
 
 use pisa::prelude::*;
-use pisa_net::LatencyModel;
+use pisa_net::{FaultConfig, LatencyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
+}
+
+/// Runs one request per SU through the real session engines over a
+/// fault-free virtual-time LAN.
+fn lan_round(
+    sus: Vec<(pisa::SuClient, Vec<Channel>)>,
+    sdc: pisa::SdcServer,
+    stp: pisa::StpServer,
+    seed: u64,
+) -> pisa_sim::StormReport {
+    let faults = FaultConfig::new(seed).with_latency(LatencyModel::lan());
+    let engine = pisa::EngineConfig::default();
+    pisa_sim::run_sim_storm_with(sus, sdc, stp, Some(faults), &engine, seed, 0.0).unwrap()
 }
 
 #[test]
@@ -127,16 +140,39 @@ fn network_execution_matches_direct_decision() {
     let update = pu.tune(Some(Channel(1)), &cfg, &e, stp.public_key(), &mut r2);
     sdc.handle_pu_update(0, update).unwrap();
 
-    let mut su = pisa::SuClient::new(pisa::SuId(0), BlockId(13), &cfg, &mut r2);
+    let su = pisa::SuClient::new(pisa::SuId(0), BlockId(13), &cfg, &mut r2);
     stp.register_su(pisa::SuId(0), su.public_key().clone());
 
-    let (run, _sdc, _stp) =
-        pisa::run_request_over_network(&mut su, sdc, stp, &[Channel(1)], LatencyModel::lan(), 1234)
-            .unwrap();
+    let report = lan_round(vec![(su, vec![Channel(1)])], sdc, stp, 1234);
+    assert_eq!(report.outcomes[0].granted, Some(direct_outcome.granted));
+    assert_eq!(report.messages, 4);
+    assert!(report.makespan_ns > 0);
+}
 
-    assert_eq!(run.outcome.granted, direct_outcome.granted);
-    assert_eq!(run.metrics.total_messages(), 4);
-    assert!(run.estimated_network_time.as_nanos() > 0);
+#[test]
+fn network_round_matches_direct() {
+    let parties = || {
+        let mut r = rng(78);
+        let cfg = SystemConfig::small_test();
+        let mut stp = pisa::StpServer::new(&mut r, cfg.paillier_bits());
+        let sdc = pisa::SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.test", &mut r);
+        let su = pisa::SuClient::new(pisa::SuId(1), BlockId(3), &cfg, &mut r);
+        stp.register_su(pisa::SuId(1), su.public_key().clone());
+        (su, sdc, stp)
+    };
+    let (mut su, mut sdc, stp) = parties();
+    let direct =
+        pisa::run_request_direct(&mut su, &mut sdc, &stp, &[Channel(2)], &mut rng(99)).unwrap();
+
+    let (su, sdc, stp) = parties();
+    let report = lan_round(vec![(su, vec![Channel(2)])], sdc, stp, 99);
+    assert_eq!(report.granted, 1);
+    assert_eq!(report.messages, 4);
+    // The network moved exactly the direct round's four messages, each
+    // under a 12-byte session header (id + attempt).
+    assert_eq!(report.bytes, (direct.total_bytes() + 4 * 12) as u64);
+    // The request dominates traffic (C×B ciphertexts vs 1).
+    assert!(direct.request_bytes > 10 * direct.response_bytes);
 }
 
 #[test]
@@ -306,11 +342,11 @@ fn concurrent_sus_interleave_correctly() {
         sus.push((su, vec![ch]));
     }
 
-    let (outcomes, _sdc, _stp) = pisa::run_concurrent_requests(sus, sdc, stp, 0xc0c0).unwrap();
-    assert_eq!(outcomes.len(), 4);
-    for (id, granted) in outcomes {
-        let expected = expectations[id.0 as usize].2;
-        assert_eq!(granted, expected, "{id} decision");
+    let report = lan_round(sus, sdc, stp, 0xc0c0);
+    assert_eq!(report.outcomes.len(), 4);
+    for o in &report.outcomes {
+        let expected = expectations[o.su as usize].2;
+        assert_eq!(o.granted, Some(expected), "SU {} decision", o.su);
     }
 }
 
