@@ -3,6 +3,7 @@
 use crate::args::{Command, DurableFlags, NetFlags};
 use pisa::adversary;
 use pisa::prelude::*;
+use pisa_sim::model::ModelOracle;
 use pisa_watch::{PuInput, SuRequest, WatchSdc};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -22,29 +23,6 @@ pub fn run(cmd: Command) -> ExitCode {
             sus,
             seed,
         } => done(|| simulate(hours, pus, sus, seed)),
-        Command::Storm {
-            sus,
-            drop,
-            dup,
-            reorder,
-            corrupt,
-            seed,
-            retries,
-            timeout_ms,
-            metrics_out,
-            trace_out,
-        } => storm(StormOpts {
-            sus,
-            drop,
-            dup,
-            reorder,
-            corrupt,
-            seed,
-            retries,
-            timeout_ms,
-            metrics_out,
-            trace_out,
-        }),
         Command::Sim {
             sus,
             drop,
@@ -57,6 +35,7 @@ pub fn run(cmd: Command) -> ExitCode {
             real,
             sweep,
             metrics_out,
+            trace_out,
         } => sim(SimOpts {
             sus,
             drop,
@@ -69,6 +48,7 @@ pub fn run(cmd: Command) -> ExitCode {
             real,
             sweep,
             metrics_out,
+            trace_out,
         }),
         Command::ServeSdc {
             listen,
@@ -113,29 +93,18 @@ fn done(f: impl FnOnce()) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parsed `storm` options (one struct instead of ten positional args).
-struct StormOpts {
-    sus: u32,
-    drop: f64,
-    dup: f64,
-    reorder: f64,
-    corrupt: f64,
-    seed: u64,
-    retries: u32,
-    timeout_ms: u64,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-}
-
 /// Builds the "net" section grafted into the metrics report: total
 /// traffic, injected faults, and session resilience counters.
-fn net_section(metrics: &pisa_net::NetMetrics) -> pisa_obs::json::Value {
+fn net_section(
+    bytes: u64,
+    messages: u64,
+    f: &pisa_net::FaultStats,
+    s: &pisa_net::SessionStats,
+) -> pisa_obs::json::Value {
     use pisa_obs::json::Value;
-    let f = metrics.fault_totals();
-    let s = metrics.session_totals();
     Value::object(vec![
-        ("bytes_on_wire", Value::from_u64(metrics.total_bytes())),
-        ("messages", Value::from_u64(metrics.total_messages())),
+        ("bytes_on_wire", Value::from_u64(bytes)),
+        ("messages", Value::from_u64(messages)),
         (
             "faults",
             Value::object(vec![
@@ -172,131 +141,6 @@ fn write_output(kind: &str, path: &str, contents: &str) -> bool {
     }
 }
 
-fn storm(opts: StormOpts) -> ExitCode {
-    use pisa::{run_storm, EngineConfig};
-    use pisa_net::{FaultConfig, FaultPlan};
-    use std::time::Duration;
-
-    let StormOpts {
-        sus,
-        drop,
-        dup,
-        reorder,
-        corrupt,
-        seed,
-        retries,
-        timeout_ms,
-        metrics_out,
-        trace_out,
-    } = opts;
-    let observing = metrics_out.is_some() || trace_out.is_some();
-    if observing {
-        pisa_obs::set_enabled(true);
-        pisa_obs::reset();
-    }
-
-    // The shared fixture: one PU on channel 0 (so sessions near it get
-    // denied and the storm exercises both decisions), `sus` SU clients.
-    // The same function seeds the networked roles, so `pisa storm` and
-    // a `serve-sdc`/`serve-stp`/`su` deployment agree on every key.
-    let fixture = match pisa::storm_fixture(sus, seed) {
-        Ok(fixture) => fixture,
-        Err(e) => {
-            eprintln!("storm setup failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let pisa::StormFixture {
-        sus: clients,
-        sdc,
-        stp,
-    } = fixture;
-
-    let plan = FaultPlan::none()
-        .with_drop(drop)
-        .with_duplicate(dup)
-        .with_reorder(reorder)
-        .with_corrupt(corrupt);
-    println!(
-        "storm: {sus} sessions, faults/link: {:.0}% drop, {:.0}% dup, {:.0}% reorder, {:.0}% corrupt\n",
-        drop * 100.0,
-        dup * 100.0,
-        reorder * 100.0,
-        corrupt * 100.0
-    );
-    let faults = FaultConfig::new(seed ^ 0xfa17).with_default_plan(plan);
-    let engine = EngineConfig::default()
-        .with_timeout(Duration::from_millis(timeout_ms))
-        .with_max_retries(retries);
-
-    let t = Instant::now();
-    let (report, _sdc, _stp) = run_storm(clients, sdc, stp, Some(faults), &engine, seed).unwrap();
-    let elapsed = t.elapsed();
-
-    for o in &report.outcomes {
-        let stats = report
-            .metrics
-            .session(u64::from(o.su_id.0))
-            .unwrap_or_default();
-        println!(
-            "  SU {:>3}: {:<9} after {} attempt(s)  (timeouts {}, rejects {})",
-            o.su_id.0,
-            match o.granted {
-                Some(true) => "GRANTED",
-                Some(false) => "DENIED",
-                None => "EXHAUSTED",
-            },
-            o.attempts,
-            stats.timeouts,
-            stats.rejected,
-        );
-    }
-    let f = report.metrics.fault_totals();
-    let s = report.metrics.session_totals();
-    println!(
-        "\nfaults injected: {} dropped, {} duplicated, {} reordered, {} corrupted (+{} absorbed)",
-        f.dropped, f.duplicated, f.reordered, f.corrupted, f.corrupt_dropped
-    );
-    println!(
-        "sessions absorbed them with {} retries, {} timeouts, {} rejected messages",
-        s.retries, s.timeouts, s.rejected
-    );
-    println!(
-        "{}/{} sessions decided in {:.2} s ({:.1} KiB moved)",
-        report
-            .outcomes
-            .iter()
-            .filter(|o| o.granted.is_some())
-            .count(),
-        report.outcomes.len(),
-        elapsed.as_secs_f64(),
-        report.metrics.total_bytes() as f64 / 1024.0
-    );
-
-    let mut exports_ok = true;
-    if observing {
-        pisa_obs::set_enabled(false);
-        let obs_report = pisa_obs::report();
-        println!("\nper-phase breakdown (paper Tables 2-3):");
-        print!("{}", obs_report.render_table());
-        if let Some(path) = metrics_out {
-            let mut doc = obs_report.to_value();
-            if let pisa_obs::json::Value::Obj(fields) = &mut doc {
-                fields.push(("net".to_owned(), net_section(&report.metrics)));
-            }
-            exports_ok &= write_output("metrics report", &path, &doc.to_json());
-        }
-        if let Some(path) = trace_out {
-            exports_ok &= write_output("chrome trace", &path, &obs_report.to_chrome_trace());
-        }
-    }
-    if exports_ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// Shared flag translation for the networked roles.
 fn net_storm_opts(net: &NetFlags) -> pisa::NetStormOpts {
     use pisa::{EngineConfig, NetStormOpts};
@@ -313,8 +157,8 @@ fn net_storm_opts(net: &NetFlags) -> pisa::NetStormOpts {
     opts.engine = EngineConfig::default()
         .with_timeout(Duration::from_millis(net.timeout_ms))
         .with_max_retries(net.retries);
-    // The same fault-seed convention as `pisa storm`, so the socket
-    // chaos draws from the link streams the in-memory network would.
+    // The same fault-seed convention as `pisa sim`, so the socket chaos
+    // draws from the link streams the simulator would.
     opts.faults = chaotic.then(|| FaultConfig::new(net.seed ^ 0xfa17).with_default_plan(plan));
     opts
 }
@@ -483,8 +327,8 @@ fn trace(record: Option<String>, replay: Option<String>, sessions: u32, seed: u6
     }
 }
 
-/// `pisa su`: the SU swarm against a live SDC service — `pisa storm`
-/// over real sockets.
+/// `pisa su`: the SU swarm against a live SDC service — the
+/// `pisa sim --mode real` storm over real sockets.
 fn su_storm(
     sdc: &str,
     net: &NetFlags,
@@ -493,8 +337,7 @@ fn su_storm(
     metrics_out: Option<String>,
 ) -> ExitCode {
     let opts = net_storm_opts(net);
-    let observing = metrics_out.is_some();
-    if observing {
+    if metrics_out.is_some() {
         pisa_obs::set_enabled(true);
         pisa_obs::reset();
     }
@@ -562,48 +405,46 @@ fn su_storm(
         println!("halt sent: SDC and STP drain after this storm");
     }
 
-    // Close the observation window before the verify replay: the
-    // in-memory baseline runs its own SU sessions plus the SDC/STP
-    // phases, none of which happened on this node.
-    let obs_report = observing.then(|| {
-        pisa_obs::set_enabled(false);
-        pisa_obs::report()
-    });
-
     let mut verified_ok = true;
     if verify {
-        println!("\nverify: replaying the storm on the in-memory engine...");
-        match pisa::run_memory_baseline(&opts) {
-            Ok(baseline) if baseline.decisions() == report.decisions() => {
-                println!(
-                    "verify: all {} decisions match the in-memory engine",
-                    report.outcomes.len()
+        // The plaintext WATCH reference for the fixture's population:
+        // no cryptography is re-run.
+        let mut oracle = ModelOracle::new(SystemConfig::small_test().watch());
+        let mismatches: Vec<_> = report
+            .decisions()
+            .into_iter()
+            .filter(|&(su, got)| got != Some(oracle.su_decision(su.0)))
+            .collect();
+        if mismatches.is_empty() {
+            println!(
+                "\nverify: all {} decisions match the plaintext WATCH reference",
+                report.outcomes.len()
+            );
+        } else {
+            verified_ok = false;
+            eprintln!("verify FAILED: socket decisions differ from WATCH");
+            for (su, got) in mismatches {
+                eprintln!(
+                    "  {su:?}: socket {got:?} vs WATCH {:?}",
+                    Some(oracle.su_decision(su.0))
                 );
-            }
-            Ok(baseline) => {
-                verified_ok = false;
-                eprintln!("verify FAILED: socket and in-memory decisions differ");
-                for (net_d, mem_d) in report.decisions().iter().zip(baseline.decisions()) {
-                    if *net_d != mem_d {
-                        eprintln!(
-                            "  {:?}: socket {:?} vs memory {:?}",
-                            net_d.0, net_d.1, mem_d.1
-                        );
-                    }
-                }
-            }
-            Err(e) => {
-                verified_ok = false;
-                eprintln!("verify FAILED: in-memory replay errored: {e}");
             }
         }
     }
 
     let mut exports_ok = true;
-    if let (Some(obs_report), Some(path)) = (obs_report, metrics_out) {
-        let mut doc = obs_report.to_value();
+    if let Some(path) = metrics_out {
+        pisa_obs::set_enabled(false);
+        let mut doc = pisa_obs::report().to_value();
         if let pisa_obs::json::Value::Obj(fields) = &mut doc {
-            fields.push(("net".to_owned(), net_section(&report.metrics)));
+            let m = &report.metrics;
+            let net = net_section(
+                m.total_bytes(),
+                m.total_messages(),
+                &m.fault_totals(),
+                &m.session_totals(),
+            );
+            fields.push(("net".to_owned(), net));
         }
         exports_ok &= write_output("metrics report", &path, &doc.to_json());
     }
@@ -627,10 +468,14 @@ struct SimOpts {
     real: bool,
     sweep: bool,
     metrics_out: Option<String>,
+    trace_out: Option<String>,
 }
 
-/// Deterministic discrete-event storm simulation: the `pisa storm`
-/// scenario replayed on virtual time, bit-reproducible per seed.
+/// Deterministic discrete-event storm simulation: the canonical storm
+/// fixture on virtual time, bit-reproducible per seed. A single
+/// real-fidelity storm given `--metrics-out`/`--trace-out` also exports
+/// the obs phase report: the protocol phases on wall-clock time and the
+/// `sim.session` spans on virtual time.
 fn sim(opts: SimOpts) -> ExitCode {
     use pisa::EngineConfig;
     use pisa_net::FaultPlan;
@@ -650,6 +495,7 @@ fn sim(opts: SimOpts) -> ExitCode {
         real,
         sweep,
         metrics_out,
+        trace_out,
     } = opts;
     let plan = FaultPlan::none()
         .with_drop(drop)
@@ -722,9 +568,18 @@ fn sim(opts: SimOpts) -> ExitCode {
             reorder * 100.0,
             corrupt * 100.0
         );
+        let observing = real && (metrics_out.is_some() || trace_out.is_some());
+        if observing {
+            pisa_obs::set_enabled(true);
+            pisa_obs::reset();
+        }
         let t = Instant::now();
         let report = run_sim_storm(seed, &config);
         let elapsed = t.elapsed();
+        let obs_report = observing.then(|| {
+            pisa_obs::set_enabled(false);
+            pisa_obs::report()
+        });
         println!(
             "{} granted, {} denied, {} undecided, {} unfinished ({} attempts total)",
             report.granted,
@@ -743,12 +598,34 @@ fn sim(opts: SimOpts) -> ExitCode {
         );
         println!("decisions digest: {:016x}", report.decisions_digest);
         let mut exports_ok = true;
+        if let Some(obs_report) = &obs_report {
+            println!("\nper-phase breakdown (paper Tables 2-3):");
+            print!("{}", obs_report.render_table());
+        }
         if let Some(path) = metrics_out {
-            let doc = Value::object(vec![
-                ("sim", report.to_value()),
-                ("wall_ms", Value::from_f64(elapsed.as_secs_f64() * 1e3)),
-            ]);
-            exports_ok &= write_output("sim report", &path, &doc.to_json());
+            let mut fields = vec![
+                ("sim".to_owned(), report.to_value()),
+                (
+                    "wall_ms".to_owned(),
+                    Value::from_f64(elapsed.as_secs_f64() * 1e3),
+                ),
+            ];
+            if let Some(obs_report) = &obs_report {
+                if let Value::Obj(obs_fields) = obs_report.to_value() {
+                    fields.extend(obs_fields);
+                }
+                let net = net_section(
+                    report.bytes,
+                    report.messages,
+                    &report.faults,
+                    &report.sessions,
+                );
+                fields.push(("net".to_owned(), net));
+            }
+            exports_ok &= write_output("sim report", &path, &Value::Obj(fields).to_json());
+        }
+        if let (Some(obs_report), Some(path)) = (&obs_report, trace_out) {
+            exports_ok &= write_output("chrome trace", &path, &obs_report.to_chrome_trace());
         }
         if report.all_terminal() && exports_ok {
             ExitCode::SUCCESS

@@ -5,9 +5,12 @@
 //! pisa keygen [--bits N]        generate a Paillier key pair
 //! pisa simulate [--hours H] [--pus N] [--sus N] [--seed S]
 //!                               metro-area churn simulation
-//! pisa storm [--sus N] [--drop P] [--dup P] [--reorder P] [--corrupt P]
-//!            [--seed S] [--retries N] [--timeout-ms T]
-//!                               concurrent sessions over a faulty network
+//! pisa sim [--sus N] [--drop P] [--dup P] [--reorder P] [--corrupt P]
+//!          [--mode real|modeled] [--metrics-out FILE] [--trace-out FILE]
+//!                               concurrent sessions over a faulty network,
+//!                               on virtual time
+//! pisa serve-stp / serve-sdc / su
+//!                               the same storm as three TCP processes
 //! pisa attack                   curious-SDC inference demo (WATCH vs PISA)
 //! pisa info                     print the paper's Table I configuration
 //! ```

@@ -1,8 +1,8 @@
 //! Tier-2 crash-recovery gate (`--ignored`): boots the STP and SDC as
 //! real processes with `--state-dir` checkpointing, drives a networked
 //! SU storm, SIGKILLs the SDC mid-storm, restarts it with `--resume`,
-//! and requires the completed storm's decisions to match the in-memory
-//! baseline — the crash must be invisible to every SU.
+//! and requires the completed storm's decisions to match the plaintext
+//! WATCH reference — the crash must be invisible to every SU.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -207,10 +207,13 @@ fn sigkilled_sdc_resumes_and_storm_decisions_match_baseline() {
         report.outcomes
     );
 
-    let baseline = pisa::run_memory_baseline(&storm_opts()).expect("in-memory baseline");
+    let mut oracle = pisa_sim::model::ModelOracle::new(pisa::SystemConfig::small_test().watch());
+    let watch: Vec<_> = (0..SESSIONS)
+        .map(|i| (pisa::SuId(i), Some(oracle.su_decision(i))))
+        .collect();
     assert_eq!(
         report.decisions(),
-        baseline.decisions(),
+        watch,
         "crash + resume changed a grant/deny decision"
     );
 

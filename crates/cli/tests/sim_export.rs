@@ -1,0 +1,125 @@
+//! `pisa sim` report exports, checked on the built binary: a
+//! real-fidelity storm given `--metrics-out`/`--trace-out` exports the
+//! obs phase report beside its `sim` section, while a modeled storm's
+//! report carries the `sim` section alone.
+
+use pisa_obs::json::Value;
+use std::path::PathBuf;
+use std::process::Command;
+
+/// A per-process scratch file, removed when dropped.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(name: &str) -> TempFile {
+        let file = format!("pisa-sim-export-{}-{name}", std::process::id());
+        TempFile(std::env::temp_dir().join(file))
+    }
+
+    fn path(&self) -> &str {
+        self.0.to_str().expect("utf-8 temp path")
+    }
+
+    fn json(&self) -> Value {
+        let text = std::fs::read_to_string(&self.0).expect("export written");
+        Value::parse(&text).expect("export is JSON")
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn pisa(args: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_pisa"))
+        .args(args)
+        .output()
+        .expect("run pisa");
+    assert!(
+        out.status.success(),
+        "pisa {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+fn keys(doc: &Value) -> Vec<String> {
+    match doc {
+        Value::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// The assertions of the CI observability smoke lane, on the same
+/// command line.
+#[test]
+fn real_sim_exports_phases_and_trace() {
+    let (metrics, trace) = (TempFile::new("metrics.json"), TempFile::new("trace.json"));
+    pisa(&[
+        "sim",
+        "--mode",
+        "real",
+        "--sus",
+        "4",
+        "--drop",
+        "0.1",
+        "--seed",
+        "7",
+        "--metrics-out",
+        metrics.path(),
+        "--trace-out",
+        trace.path(),
+    ]);
+
+    let m = metrics.json();
+    let phases: Vec<&str> = m
+        .get("phases")
+        .and_then(Value::as_array)
+        .expect("phases")
+        .iter()
+        .filter_map(|p| p.get("name").and_then(Value::as_str))
+        .collect();
+    for want in ["sign_test", "key_conversion", "signature_release"] {
+        assert!(phases.contains(&want), "missing phase {want}: {phases:?}");
+    }
+    let on_wire = m.get("net").and_then(|n| n.get("bytes_on_wire"));
+    assert!(on_wire.and_then(Value::as_u64).is_some_and(|b| b > 0));
+    // The `sim` section leads, as in a modeled report.
+    assert_eq!(keys(&m).first().map(String::as_str), Some("sim"));
+    let sim_bytes = m.get("sim").and_then(|s| s.get("bytes"));
+    assert_eq!(
+        on_wire.and_then(Value::as_u64),
+        sim_bytes.and_then(Value::as_u64)
+    );
+
+    let t = trace.json();
+    let events = t
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .expect("traceEvents");
+    assert!(!events.is_empty(), "empty chrome trace");
+    assert!(events
+        .iter()
+        .all(|e| e.get("ph").and_then(Value::as_str) == Some("X")));
+}
+
+#[test]
+fn modeled_sim_report_has_only_the_sim_section() {
+    let metrics = TempFile::new("modeled.json");
+    pisa(&[
+        "sim",
+        "--sus",
+        "64",
+        "--drop",
+        "0.1",
+        "--seed",
+        "7",
+        "--metrics-out",
+        metrics.path(),
+    ]);
+    let m = metrics.json();
+    assert_eq!(keys(&m), ["sim", "wall_ms"]);
+    let fidelity = m.get("sim").and_then(|s| s.get("fidelity"));
+    assert_eq!(fidelity.and_then(Value::as_str), Some("modeled"));
+}

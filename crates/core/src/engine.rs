@@ -1,4 +1,4 @@
-//! Transport-agnostic session state machines, written once for every
+//! I/O-agnostic session state machines, written once for every
 //! execution mode.
 //!
 //! The request round has three parties — the SU sends its encrypted
@@ -25,11 +25,12 @@
 //! reply acceptance, SU retry and backoff — so the modeled fidelity
 //! cannot drift from the real one.
 //!
-//! The threaded engine supplies real time and real mailboxes; the
-//! virtual-time discrete-event simulator (`pisa-sim`) supplies virtual
-//! time and an event heap. Both drive the *same* code, with the same
-//! RNG streams, so their decisions and message sequences are identical
-//! — the equivalence tests pin this down frame for frame.
+//! The socket services ([`SdcService`](crate::SdcService) and friends)
+//! supply real time and TCP connections; the virtual-time
+//! discrete-event simulator (`pisa-sim`) supplies virtual time and an
+//! event heap. Both drive the *same* code with the same RNG streams, so
+//! both reach the plaintext WATCH decisions — the chaos tests check
+//! every session against them.
 
 use crate::error::PisaError;
 use crate::keys::SuId;

@@ -83,16 +83,13 @@ pub use messages::{
     PisaMessage, PuUpdateMsg, SdcResponseMsg, SdcToStpMsg, StpToSdcMsg, SuRequestMsg,
 };
 pub use netstorm::{
-    run_memory_baseline, run_su_storm, storm_fixture, DurableOpts, NetStormOpts, SdcService,
-    StormFixture, StpService,
+    run_su_storm, storm_fixture, DurableOpts, NetStormOpts, SdcService, StormFixture, StpService,
 };
 pub use privacy::LocationPrivacy;
 pub use protocol::{run_request_direct, run_request_direct_tuned, RequestOutcome};
 pub use pu::PuClient;
 pub use sdc::SdcServer;
-pub use session::{
-    corrupt_session_frame, run_storm, EngineConfig, EngineReport, SessionMsg, SessionOutcome,
-};
+pub use session::{corrupt_session_frame, EngineConfig, EngineReport, SessionMsg, SessionOutcome};
 pub use stp::StpServer;
 pub use su::SuClient;
 pub use system::PisaSystem;

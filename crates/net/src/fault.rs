@@ -1,4 +1,4 @@
-//! Deterministic, seedable fault injection for the simulated network.
+//! Deterministic, seedable fault injection.
 //!
 //! A [`FaultConfig`] attaches independent per-link probabilities for the
 //! four classic link pathologies — drop, duplicate, reorder, corrupt —
@@ -9,18 +9,21 @@
 //! send index)` and does not depend on how concurrent sessions happen to
 //! interleave on other links.
 //!
+//! [`FaultLottery`] owns those streams. Both fault pipelines draw from
+//! it: the virtual-time network in `pisa-sim`, and
+//! [`SocketFaults`](crate::SocketFaults) on real sockets.
+//!
 //! Corruption needs to know what a "bit flip the receiver may or may not
-//! detect" means for the payload type, so the network owns a pluggable
-//! [`Corruptor`] oracle: given the payload and 64 tweak bits it returns
-//! `Some(mangled)` when the flipped frame still decodes (the receiver
-//! sees a wrong-but-well-formed message and must reject it at the
-//! protocol layer) or `None` when the frame no longer parses (the
+//! detect" means for the payload type, so the virtual-time network takes
+//! a pluggable [`Corruptor`] oracle: given the payload and 64 tweak bits
+//! it returns `Some(mangled)` when the flipped frame still decodes (the
+//! receiver sees a wrong-but-well-formed message and must reject it at
+//! the protocol layer) or `None` when the frame no longer parses (the
 //! network absorbs it like a drop, counted separately). Without an
 //! oracle, corruption always destroys the frame.
 
-use crate::transport::{Envelope, Party};
+use crate::party::Party;
 use crate::LatencyModel;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
@@ -94,8 +97,9 @@ pub struct FaultConfig {
     pub default_plan: FaultPlan,
     /// Per-link overrides, keyed by `(from, to)`.
     pub per_link: HashMap<(Party, Party), FaultPlan>,
-    /// Optional wire-time model applied to every delivery (the sender
-    /// blocks for `transfer_time(bytes, 1)` before the message lands).
+    /// Optional wire-time model applied to every delivery (a socket
+    /// sender sleeps for `transfer_time(bytes, 1)`; the simulator adds
+    /// it in virtual time).
     pub latency: Option<LatencyModel>,
 }
 
@@ -164,7 +168,7 @@ pub type Corruptor<M> = Arc<dyn Fn(&M, u64) -> Option<M> + Send + Sync>;
 /// The deterministic core of fault injection: a [`FaultConfig`] plus the
 /// per-link RNG streams it seeds. Single-threaded by construction, so a
 /// virtual-time simulator can drive it directly and observe the *same*
-/// per-link fault sequence as the threaded [`Network`](crate::Network)
+/// per-link fault sequence as [`SocketFaults`](crate::SocketFaults)
 /// (which wraps one of these in a mutex): the draw for the k-th send on
 /// a link is a pure function of `(seed, link, k)`.
 #[derive(Debug)]
@@ -204,57 +208,6 @@ impl FaultLottery {
             reordered: chance(plan.reorder),
             corrupt: chance(plan.corrupt).then(|| rng.next_u64()),
         }
-    }
-}
-
-/// Shared mutable state backing fault injection on one network.
-pub(crate) struct FaultState<M> {
-    lottery: Mutex<FaultLottery>,
-    config: FaultConfig,
-    holdback: Mutex<HashMap<(Party, Party), Envelope<M>>>,
-    corruptor: Mutex<Option<Corruptor<M>>>,
-}
-
-impl<M> FaultState<M> {
-    pub fn new(config: FaultConfig) -> Self {
-        FaultState {
-            lottery: Mutex::new(FaultLottery::new(config.clone())),
-            config,
-            holdback: Mutex::new(HashMap::new()),
-            corruptor: Mutex::new(None),
-        }
-    }
-
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    pub fn set_corruptor(&self, corruptor: Corruptor<M>) {
-        *self.corruptor.lock() = Some(corruptor);
-    }
-
-    pub fn corruptor(&self) -> Option<Corruptor<M>> {
-        self.corruptor.lock().clone()
-    }
-
-    /// Rolls the dice for one message on `from → to`.
-    pub fn draw(&self, from: Party, to: Party) -> FaultDraw {
-        self.lottery.lock().draw(from, to)
-    }
-
-    /// Removes and returns the message held back on `link`, if any.
-    pub fn take_held(&self, link: (Party, Party)) -> Option<Envelope<M>> {
-        self.holdback.lock().remove(&link)
-    }
-
-    /// Holds `env` back until the next send on its link.
-    pub fn hold(&self, link: (Party, Party), env: Envelope<M>) {
-        self.holdback.lock().insert(link, env);
-    }
-
-    /// Removes and returns every held-back message.
-    pub fn drain_held(&self) -> Vec<Envelope<M>> {
-        self.holdback.lock().drain().map(|(_, env)| env).collect()
     }
 }
 
@@ -307,11 +260,12 @@ mod tests {
     #[test]
     fn draws_are_deterministic_per_seed() {
         let draw_seq = |seed: u64| {
-            let state: FaultState<Vec<u8>> =
-                FaultState::new(FaultConfig::new(seed).with_default_plan(FaultPlan::uniform(0.3)));
+            let mut lottery = FaultLottery::new(
+                FaultConfig::new(seed).with_default_plan(FaultPlan::uniform(0.3)),
+            );
             (0..64)
                 .map(|_| {
-                    let d = state.draw(Party::Su(0), Party::Sdc);
+                    let d = lottery.draw(Party::Su(0), Party::Sdc);
                     (d.dropped, d.duplicated, d.reordered, d.corrupt)
                 })
                 .collect::<Vec<_>>()
@@ -322,32 +276,21 @@ mod tests {
 
     #[test]
     fn links_have_independent_streams() {
-        let state: FaultState<Vec<u8>> =
-            FaultState::new(FaultConfig::new(9).with_default_plan(FaultPlan::uniform(0.5)));
+        let mut lottery =
+            FaultLottery::new(FaultConfig::new(9).with_default_plan(FaultPlan::uniform(0.5)));
         let a: Vec<bool> = (0..64)
-            .map(|_| state.draw(Party::Su(0), Party::Sdc).dropped)
+            .map(|_| lottery.draw(Party::Su(0), Party::Sdc).dropped)
             .collect();
         let b: Vec<bool> = (0..64)
-            .map(|_| state.draw(Party::Su(1), Party::Sdc).dropped)
+            .map(|_| lottery.draw(Party::Su(1), Party::Sdc).dropped)
             .collect();
         assert_ne!(a, b);
     }
 
     #[test]
-    fn lottery_matches_threaded_state_streams() {
-        let cfg = FaultConfig::new(0x11ce).with_default_plan(FaultPlan::uniform(0.4));
-        let state: FaultState<Vec<u8>> = FaultState::new(cfg.clone());
-        let mut lottery = FaultLottery::new(cfg);
-        for i in 0..128 {
-            let from = Party::Su(i % 3);
-            assert_eq!(state.draw(from, Party::Sdc), lottery.draw(from, Party::Sdc));
-        }
-    }
-
-    #[test]
     fn quiet_plan_draws_nothing() {
-        let state: FaultState<Vec<u8>> = FaultState::new(FaultConfig::new(1));
-        let d = state.draw(Party::Su(0), Party::Sdc);
+        let mut lottery = FaultLottery::new(FaultConfig::new(1));
+        let d = lottery.draw(Party::Su(0), Party::Sdc);
         assert!(!d.dropped && !d.duplicated && !d.reordered && d.corrupt.is_none());
     }
 }

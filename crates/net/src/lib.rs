@@ -1,59 +1,59 @@
-//! Simulated message transport for the PISA parties.
+//! Message transport for the PISA parties.
 //!
 //! The paper's prototype connects four kinds of parties — PUs, SUs, the
 //! SDC server and the STP — over a network whose *communication
 //! overhead* is one of the two evaluation criteria (§VI-A: a 29 MB
 //! request, a 0.05 MB PU update, a 4.1 kb response). This crate provides
-//! an in-memory network with:
+//! what every execution mode shares:
 //!
-//! * typed party addresses ([`Party`]),
-//! * reliable in-order delivery over [`crossbeam`] channels,
+//! * typed party addresses ([`Party`]) and the wire codec ([`codec`]),
 //! * per-link byte and message accounting ([`NetMetrics`]) driven by the
 //!   [`WireSize`] trait,
 //! * a configurable latency model ([`LatencyModel`]) for estimating
-//!   end-to-end protocol latency from the accounted traffic, and
+//!   end-to-end protocol latency from the accounted traffic,
 //! * deterministic, seedable fault injection ([`FaultConfig`]) with
-//!   per-link drop/duplicate/reorder/corrupt probabilities and
-//!   absorbed-fault counters surfaced through [`NetMetrics`].
+//!   per-link drop/duplicate/reorder/corrupt probabilities drawn from
+//!   [`FaultLottery`] streams and absorbed-fault counters surfaced
+//!   through [`NetMetrics`], and
+//! * the framed TCP transport ([`socket`]) the three-process deployment
+//!   runs on, with the same fault pipeline ([`SocketFaults`]) applied to
+//!   encoded bytes.
+//!
+//! The in-process storm runs on the virtual-time network of `pisa-sim`,
+//! which draws its faults from the same lottery streams.
 //!
 //! # Examples
 //!
 //! ```
-//! use pisa_net::{Network, Party, WireSize};
+//! use pisa_net::{FaultConfig, FaultLottery, FaultPlan, Party};
 //!
-//! #[derive(Clone)]
-//! struct Ping(Vec<u8>);
-//! impl WireSize for Ping {
-//!     fn wire_bytes(&self) -> usize { self.0.len() }
-//! }
-//!
-//! let net: Network<Ping> = Network::new();
-//! let sdc = net.endpoint(Party::Sdc);
-//! let stp = net.endpoint(Party::Stp);
-//! sdc.send(Party::Stp, Ping(vec![0; 128]));
-//! assert_eq!(stp.recv().unwrap().payload.0.len(), 128);
-//! assert_eq!(net.metrics().total_bytes(), 128);
+//! let config = FaultConfig::new(7).with_default_plan(FaultPlan::none().with_drop(0.5));
+//! // The k-th draw on a link is a pure function of (seed, link, k).
+//! let draws = |config: &FaultConfig| {
+//!     let mut lottery = FaultLottery::new(config.clone());
+//!     (0..32)
+//!         .map(|_| lottery.draw(Party::Su(0), Party::Sdc).dropped)
+//!         .collect::<Vec<_>>()
+//! };
+//! assert_eq!(draws(&config), draws(&config));
+//! assert!(draws(&config).contains(&true));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
-mod error;
 mod fault;
 mod latency;
 mod metrics;
+mod party;
 pub mod socket;
-mod transport;
 
-pub use error::NetError;
 pub use fault::{link_stream_seed, Corruptor, FaultConfig, FaultDraw, FaultLottery, FaultPlan};
 pub use latency::LatencyModel;
 pub use metrics::{FaultKind, FaultStats, LinkStats, NetMetrics, SessionStats};
-pub use socket::{
-    FrameCodec, SocketConfig, SocketEndpoint, SocketError, SocketEvent, SocketFaults, SocketNode,
-};
-pub use transport::{Endpoint, Envelope, Network, Party, Transport};
+pub use party::{Envelope, Party};
+pub use socket::{FrameCodec, SocketConfig, SocketError, SocketEvent, SocketFaults, SocketNode};
 
 /// Serialized size of a message on the wire, in bytes.
 ///

@@ -1,6 +1,6 @@
 //! Per-link traffic accounting.
 
-use crate::transport::Party;
+use crate::party::Party;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -79,7 +79,8 @@ impl SessionStats {
     }
 }
 
-/// Shared traffic metrics for a [`Network`](crate::Network).
+/// Shared traffic, fault and session counters for one network view (a
+/// simulated network or one socket node).
 ///
 /// Cloning shares the counters.
 #[derive(Clone, Default)]

@@ -1,15 +1,16 @@
 //! Socket-layer fault injection.
 //!
 //! The same seeded drop/duplicate/reorder/corrupt knobs as the
-//! in-memory [`Network`](crate::Network), applied to **encoded envelope
-//! bytes** just before they are written to a TCP stream. The pipeline
-//! mirrors `Network::deliver` stage for stage (latency → drop → corrupt
-//! → reorder holdback → duplicate), drawing from the identical per-link
-//! [`FaultLottery`] streams, so a storm over real sockets sees the same
-//! fault sequence per link as the threaded engine with the same seed.
+//! simulator's virtual-time network (`pisa_sim::SimNet`), applied to
+//! **encoded envelope bytes** just before they are written to a TCP
+//! stream. The pipeline mirrors `SimNet::send` stage for stage (latency
+//! → drop → corrupt → reorder holdback → duplicate), drawing from the
+//! identical per-link [`FaultLottery`] streams, so a storm over real
+//! sockets sees the same fault sequence per link as the simulator with
+//! the same seed (pinned by a `pisa-sim` test).
 //!
 //! Corruption flips one tweak-chosen bit of the *payload* region — the
-//! exact bytes the in-memory corruption oracle flips — then asks the
+//! exact bytes the session-frame corruption oracle flips — then asks the
 //! caller whether the mangled payload still parses: if yes the frame is
 //! delivered wrong-but-well-formed (the protocol layer must reject it),
 //! if no the frame is absorbed like a drop, counted separately.
@@ -17,7 +18,7 @@
 use super::frame::ENVELOPE_HEADER_BYTES;
 use crate::fault::{FaultConfig, FaultLottery};
 use crate::metrics::{FaultKind, NetMetrics};
-use crate::transport::Party;
+use crate::party::Party;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -89,7 +90,7 @@ impl SocketFaults {
             }
         }
         // Reorder = hold one frame back and release it after the next
-        // send on the same link (a one-slot swap), as in-memory.
+        // send on the same link (a one-slot swap), as in the simulator.
         let held = self.holdback.lock().remove(&(from, to));
         if draw.reordered && held.is_none() {
             self.metrics.record_fault(from, to, FaultKind::Reordered);

@@ -18,7 +18,7 @@
 //! or corrupted prefix cannot force a multi-GiB buffer.
 
 use crate::codec::{CodecError, Reader, Writer};
-use crate::transport::Party;
+use crate::party::Party;
 use bytes::Bytes;
 use std::io::Write;
 

@@ -1,21 +1,20 @@
 //! Framed TCP transport for PISA parties.
 //!
-//! The in-memory [`Network`](crate::Network) keeps all four parties in
-//! one address space — fine for measurement, wrong for the paper's
-//! trust model, where SU, SDC and STP are *separate trust domains*.
-//! This module promotes the wire codec to a real socket protocol so a
-//! storm can run as three processes on loopback or across hosts:
+//! The paper's trust model makes SU, SDC and STP *separate trust
+//! domains*. This module promotes the wire codec to a real socket
+//! protocol so a storm can run as three processes on loopback or across
+//! hosts:
 //!
 //! * [`frame`] — `u32` length-prefixed frames with a hard size ceiling,
 //!   an incremental [`FrameBuffer`] deframer, and the envelope format
 //!   (kind, from-party, to-party, payload);
 //! * [`SocketFaults`] — the seeded drop/dup/reorder/corrupt pipeline
-//!   applied to encoded bytes at the sender, mirroring the in-memory
+//!   applied to encoded bytes at the sender, mirroring the simulator's
 //!   fault semantics stage for stage;
 //! * [`SocketNode`] — listener + per-peer connection pool with
-//!   reconnect/backoff, reader threads, learned reply routes, in-band
-//!   graceful shutdown, and a [`Transport`](crate::Transport) adapter
-//!   ([`SocketEndpoint`]) so the session engines run unmodified.
+//!   reconnect/backoff, reader threads, learned reply routes and in-band
+//!   graceful shutdown. Service loops feed its inbound frames to the
+//!   session engines and send whatever frame the engine returns.
 //!
 //! Everything is `std` networking — no new dependencies.
 
@@ -25,11 +24,10 @@ mod node;
 
 pub use faults::SocketFaults;
 pub use frame::{FrameBuffer, FrameCodec};
-pub use node::{SocketEndpoint, SocketEvent, SocketNode};
+pub use node::{SocketEvent, SocketNode};
 
 use crate::codec::{CodecError, MAX_FRAME_LEN};
-use crate::transport::Party;
-use crate::NetError;
+use crate::party::Party;
 use std::time::Duration;
 
 /// Tuning knobs for a [`SocketNode`].
@@ -84,18 +82,6 @@ pub enum SocketError {
     Stopped,
 }
 
-impl SocketError {
-    /// Maps onto the [`Transport`](crate::Transport) error surface.
-    pub fn into_net_error(self, to: Party) -> NetError {
-        match self {
-            SocketError::Io(kind) => NetError::Socket(kind),
-            SocketError::Codec(_) => NetError::Socket(std::io::ErrorKind::InvalidData),
-            SocketError::NoRoute(p) => NetError::UnknownParty(p),
-            SocketError::Stopped => NetError::Disconnected(to),
-        }
-    }
-}
-
 impl std::fmt::Display for SocketError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -118,5 +104,25 @@ impl From<std::io::Error> for SocketError {
 impl From<CodecError> for SocketError {
     fn from(e: CodecError) -> Self {
         SocketError::Codec(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn display_names_party() {
+        assert_eq!(
+            SocketError::NoRoute(Party::Su(3)).to_string(),
+            "no route to SU3"
+        );
+        let io = SocketError::from(std::io::Error::from(std::io::ErrorKind::ConnectionRefused));
+        assert!(io.to_string().contains("ConnectionRefused"), "{io}");
+        let codec = SocketError::from(CodecError::UnexpectedEof);
+        assert_eq!(
+            codec.to_string(),
+            "socket codec error: unexpected end of frame"
+        );
     }
 }

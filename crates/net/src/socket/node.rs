@@ -24,8 +24,7 @@ use super::frame::{
 };
 use super::{SocketConfig, SocketError};
 use crate::metrics::NetMetrics;
-use crate::transport::{Envelope, Party, Transport};
-use crate::NetError;
+use crate::party::{Envelope, Party};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -209,14 +208,6 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
         self.inner.stop.store(true, Ordering::SeqCst);
     }
 
-    /// A [`Transport`] view of this node for one hosted party.
-    pub fn endpoint(&self, party: Party) -> SocketEndpoint<M> {
-        SocketEndpoint {
-            node: self.clone(),
-            party,
-        }
-    }
-
     fn write_to(&self, to: Party, frame: &[u8]) -> Result<(), SocketError> {
         let conn = self.route_or_dial(to)?;
         let first = {
@@ -374,31 +365,5 @@ fn reader_loop<M: FrameCodec + Send + 'static>(inner: &Arc<NodeInner<M>>, mut st
                 }
             }
         }
-    }
-}
-
-/// A [`Transport`] adapter: one hosted party's send surface over a
-/// shared [`SocketNode`], mirroring the in-memory
-/// [`Endpoint`](crate::Endpoint).
-pub struct SocketEndpoint<M> {
-    node: SocketNode<M>,
-    party: Party,
-}
-
-impl<M> std::fmt::Debug for SocketEndpoint<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SocketEndpoint({})", self.party)
-    }
-}
-
-impl<M: FrameCodec + Send + 'static> Transport<M> for SocketEndpoint<M> {
-    fn party(&self) -> Party {
-        self.party
-    }
-
-    fn try_send(&self, to: Party, payload: M) -> Result<(), NetError> {
-        self.node
-            .send_from(self.party, to, &payload)
-            .map_err(|e| e.into_net_error(to))
     }
 }

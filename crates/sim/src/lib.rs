@@ -1,18 +1,17 @@
 //! `pisa-sim`: a deterministic discrete-event simulator for PISA
 //! session storms.
 //!
-//! The threaded storm engine in `pisa-core` answers "does the protocol
-//! survive a hostile network?" — but it runs on wall-clock time, so a
-//! big storm is slow and a failing storm is hard to replay. This crate
-//! re-runs the same protocol on *virtual* time: a single thread pops
-//! events off a `(virtual_time, seq)`-keyed heap, the network is the
-//! exact fault pipeline of `pisa-net` driven by the same seeded
-//! per-link streams, and the parties are the `pisa-core` session
-//! engines, instantiated either over the real Paillier/RSA crypto
-//! ([`Fidelity::Real`]) or over the plaintext [`model::Plaintext`]
-//! protocol ([`Fidelity::Modeled`]), which trades the Paillier
-//! arithmetic for the WATCH decision oracle — that is what makes a
-//! 10⁵-session storm finish in seconds.
+//! This is the one in-process way to ask "does the protocol survive a
+//! hostile network?". Wall-clock storms are slow and a failing one is
+//! hard to replay, so this crate runs the protocol on *virtual* time: a
+//! single thread pops events off a `(virtual_time, seq)`-keyed heap,
+//! the network is the fault pipeline of `pisa-net`'s socket layer
+//! driven by the same seeded per-link streams, and the parties are the
+//! `pisa-core` session engines, instantiated either over the real
+//! Paillier/RSA crypto ([`Fidelity::Real`]) or over the plaintext
+//! [`model::Plaintext`] protocol ([`Fidelity::Modeled`]), which trades
+//! the Paillier arithmetic for the WATCH decision oracle — that is what
+//! makes a 10⁵-session storm finish in seconds.
 //!
 //! Everything is bit-deterministic per seed: [`run_sim_storm`] with
 //! the same `(seed, config)` produces a byte-identical

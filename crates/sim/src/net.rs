@@ -1,13 +1,14 @@
-//! Virtual-time port of the threaded [`pisa_net::Network`] fault path.
+//! The virtual-time network: the fault pipeline of the in-process storm.
 //!
-//! [`SimNet::send`] walks the exact pipeline of `Network::deliver` —
-//! latency, fault draw, drop, corrupt, one-slot reorder holdback,
-//! duplicate, deliver — but instead of sleeping and pushing into
-//! mailboxes it returns the scheduled [`Delivery`] records for the
-//! event heap. The fault draws come from the same [`FaultLottery`]
-//! streams the threaded network uses (per-link, seeded by
-//! [`link_stream_seed`]), so for a given `(seed, link, send-index)` the
-//! simulator and the threaded engine observe the *same* fault.
+//! [`SimNet::send`] walks the same pipeline as the socket layer's
+//! [`SocketFaults::apply`](pisa_net::SocketFaults::apply) — latency,
+//! fault draw, drop, corrupt, one-slot reorder holdback, duplicate,
+//! deliver — but instead of sleeping and writing to a TCP stream it
+//! returns the scheduled [`Delivery`] records for the event heap. The
+//! fault draws come from the same [`FaultLottery`] streams (per-link,
+//! seeded by [`link_stream_seed`]), so for a given
+//! `(seed, link, send-index)` the simulator and a socket storm observe
+//! the *same* fault; a test below pins the two pipelines together.
 //!
 //! Latency is drawn per delivery from the config's
 //! [`LatencyModel`](pisa_net::LatencyModel) via
@@ -39,8 +40,8 @@ pub struct Delivery<M> {
     pub msg: M,
 }
 
-/// The virtual-time network: same fault semantics as the threaded
-/// [`pisa_net::Network`], inverted control.
+/// The virtual-time network: the socket layer's fault semantics on an
+/// event heap.
 ///
 /// # Examples
 ///
@@ -93,8 +94,9 @@ impl<M: WireSize + Clone> SimNet<M> {
         &self.metrics
     }
 
-    /// Installs the corruption oracle (see
-    /// [`pisa_net::Network::set_corruptor`]).
+    /// Installs the corruption oracle: how a bit flip mangles a payload
+    /// (`None` = the flipped frame no longer parses and is absorbed).
+    /// Without one, corruption always destroys the frame.
     pub fn set_corruptor(&mut self, corruptor: Corruptor<M>) {
         self.corruptor = Some(corruptor);
     }
@@ -137,8 +139,8 @@ impl<M: WireSize + Clone> SimNet<M> {
 
     /// Sends `msg` on `from → to` at virtual time `now`, appending the
     /// resulting deliveries (zero, one or two messages, plus a possible
-    /// released holdback) to `out`. Mirrors `Network::deliver` stage by
-    /// stage so the fault streams line up draw for draw.
+    /// released holdback) to `out`. Mirrors `SocketFaults::apply` stage
+    /// by stage so the fault streams line up draw for draw.
     pub fn send(&mut self, now: u64, from: Party, to: Party, msg: M, out: &mut Vec<Delivery<M>>) {
         let arrival = now.saturating_add(self.wire_ns(from, to, msg.wire_bytes() as u64));
         let Some(lottery) = self.lottery.as_mut() else {
@@ -183,7 +185,7 @@ impl<M: WireSize + Clone> SimNet<M> {
 
     /// Delivers every message the reorder stage still holds, at virtual
     /// time `now`, in deterministic link order. Returns how many were
-    /// flushed (mirrors [`pisa_net::Network::flush_holdback`]).
+    /// flushed (mirrors [`SocketFaults::drain_held`](pisa_net::SocketFaults::drain_held)).
     pub fn flush_holdback(&mut self, now: u64, out: &mut Vec<Delivery<M>>) -> usize {
         let held = std::mem::take(&mut self.holdback);
         let n = held.len();
@@ -197,7 +199,8 @@ impl<M: WireSize + Clone> SimNet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pisa_net::{FaultPlan, LatencyModel, Network};
+    use pisa_net::socket::frame::{encode_envelope, FrameKind, ENVELOPE_HEADER_BYTES};
+    use pisa_net::{FaultPlan, LatencyModel, SocketFaults};
     use std::sync::Arc;
 
     fn lossy(seed: u64, plan: FaultPlan) -> SimNet<Vec<u8>> {
@@ -258,36 +261,110 @@ mod tests {
     }
 
     #[test]
-    fn fault_draws_match_threaded_network() {
-        // Drive the threaded Network and the SimNet with the same seed
-        // and send sequence; the surviving payload sequence must match.
-        let plan = FaultPlan::none().with_drop(0.4).with_duplicate(0.3);
+    fn fault_draws_match_socket_faults() {
+        // Drive the socket pipeline and the SimNet with the same seed
+        // and send sequence; the surviving payload sequence and the
+        // fault counters must match.
+        let plan = FaultPlan::none()
+            .with_drop(0.3)
+            .with_duplicate(0.3)
+            .with_reorder(0.3);
         let seed = 0x51f7;
+        let config = FaultConfig::new(seed).with_default_plan(plan);
 
-        let threaded: Network<Vec<u8>> =
-            Network::with_faults(FaultConfig::new(seed).with_default_plan(plan));
-        let a = threaded.endpoint(Party::Su(0));
-        let b = threaded.endpoint(Party::Sdc);
+        let socket_metrics = NetMetrics::new();
+        let socket = SocketFaults::new(config.clone(), socket_metrics.clone());
+        let mut socket_seen = Vec::new();
         for i in 0..64u8 {
-            a.send(Party::Sdc, vec![i]);
-        }
-        let mut threaded_seen = Vec::new();
-        while let Some(env) = b.try_recv() {
-            threaded_seen.push(env.payload[0]);
+            let frame = encode_envelope(FrameKind::Data, Party::Su(0), Party::Sdc, &[i]);
+            for written in socket.apply(Party::Su(0), Party::Sdc, frame, &|_| true) {
+                socket_seen.push(written[ENVELOPE_HEADER_BYTES..].to_vec());
+            }
         }
 
-        let mut sim = lossy(seed, plan);
+        let mut sim: SimNet<Vec<u8>> = SimNet::new(Some(config), 0.0);
         let mut out = Vec::new();
         for i in 0..64u8 {
             sim.send(0, Party::Su(0), Party::Sdc, vec![i], &mut out);
         }
-        let sim_seen: Vec<u8> = out.iter().map(|d| d.msg[0]).collect();
+        let sim_seen: Vec<Vec<u8>> = out.into_iter().map(|d| d.msg).collect();
 
-        assert_eq!(sim_seen, threaded_seen);
-        assert_eq!(
-            sim.metrics().fault_totals(),
-            threaded.metrics().fault_totals()
-        );
+        assert_eq!(sim_seen, socket_seen);
+        let totals = sim.metrics().fault_totals();
+        assert!(totals.dropped > 0 && totals.duplicated > 0 && totals.reordered > 0);
+        assert_eq!(totals, socket_metrics.fault_totals());
+    }
+
+    #[test]
+    fn corruption_draws_match_socket_faults() {
+        // Both pipelines flip bit `tweak % payload bits` of the payload;
+        // with the same seed they must corrupt (or absorb) the same sends
+        // in the same way.
+        let plan = FaultPlan::none().with_corrupt(0.4).with_drop(0.1);
+        let config = FaultConfig::new(0xc0de).with_default_plan(plan);
+        let flip: Corruptor<Vec<u8>> = Arc::new(|payload: &Vec<u8>, tweak| {
+            let mut flipped = payload.clone();
+            let bit = usize::try_from(tweak % (flipped.len() as u64 * 8)).unwrap();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            Some(flipped)
+        });
+        for parses in [true, false] {
+            let socket_metrics = NetMetrics::new();
+            let socket = SocketFaults::new(config.clone(), socket_metrics.clone());
+            let mut socket_seen = Vec::new();
+            for i in 0..64u8 {
+                let frame =
+                    encode_envelope(FrameKind::Data, Party::Su(0), Party::Sdc, &[i, 0, 0, i]);
+                for written in socket.apply(Party::Su(0), Party::Sdc, frame, &|_| parses) {
+                    socket_seen.push(written[ENVELOPE_HEADER_BYTES..].to_vec());
+                }
+            }
+
+            let mut sim: SimNet<Vec<u8>> = SimNet::new(Some(config.clone()), 0.0);
+            if parses {
+                sim.set_corruptor(Arc::clone(&flip));
+            }
+            let mut out = Vec::new();
+            for i in 0..64u8 {
+                sim.send(0, Party::Su(0), Party::Sdc, vec![i, 0, 0, i], &mut out);
+            }
+            let sim_seen: Vec<Vec<u8>> = out.into_iter().map(|d| d.msg).collect();
+
+            assert_eq!(sim_seen, socket_seen, "parses = {parses}");
+            let totals = sim.metrics().fault_totals();
+            assert!(totals.dropped > 0);
+            if parses {
+                assert!(totals.corrupted > 0 && totals.corrupt_dropped == 0);
+            } else {
+                assert!(totals.corrupt_dropped > 0 && totals.corrupted == 0);
+            }
+            assert_eq!(totals, socket_metrics.fault_totals());
+        }
+    }
+
+    #[test]
+    fn drop_absorbs_and_counts() {
+        let mut net = lossy(0xfa11, FaultPlan::none().with_drop(1.0));
+        let mut out = Vec::new();
+        for _ in 0..5 {
+            net.send(0, Party::Su(0), Party::Sdc, vec![1, 2, 3], &mut out);
+        }
+        assert!(out.is_empty());
+        let faults = net.metrics().link_faults(Party::Su(0), Party::Sdc).unwrap();
+        assert_eq!(faults.dropped, 5);
+        // Dropped messages are never delivered, so no bytes accrue.
+        assert_eq!(net.metrics().total_bytes(), 0);
+    }
+
+    #[test]
+    fn duplicate_delivers_twice_at_the_same_instant() {
+        let mut net = lossy(1, FaultPlan::none().with_duplicate(1.0));
+        let mut out = Vec::new();
+        net.send(4, Party::Su(0), Party::Sdc, vec![7], &mut out);
+        let seen: Vec<_> = out.iter().map(|d| (d.at, d.msg.clone())).collect();
+        assert_eq!(seen, vec![(4, vec![7]), (4, vec![7])]);
+        assert_eq!(net.metrics().fault_totals().duplicated, 1);
+        assert_eq!(net.metrics().total_messages(), 2);
     }
 
     #[test]

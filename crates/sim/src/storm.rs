@@ -1,15 +1,17 @@
 //! The storm driver: one event loop and one set of session engines,
 //! two fidelities.
 //!
-//! [`run_sim_storm`] replays the `pisa storm` scenario — N concurrent
-//! SU sessions against one SDC and one STP over a faulty network — on
-//! virtual time. Both fidelities run the `pisa-core` session engines
-//! through [`SimNet`](crate::SimNet): [`Fidelity::Real`] instantiates
-//! them over [`PaillierRsa`] (Paillier, blinding, RSA licenses and
-//! all), [`Fidelity::Modeled`] over the plaintext [`Plaintext`] model,
-//! which makes a 10⁵-session storm a sub-second affair while keeping
-//! the session semantics — retries, replays, reorder holdback,
-//! corruption — bit-exact.
+//! [`run_sim_storm`] runs the canonical storm — N concurrent SU
+//! sessions of [`pisa::storm_fixture`] against one SDC and one STP over
+//! a faulty network — on virtual time. It is the one in-process way to
+//! run a storm; the three-process socket deployment runs the same
+//! fixture and engines over TCP. Both fidelities run the `pisa-core`
+//! session engines through [`SimNet`](crate::SimNet): [`Fidelity::Real`]
+//! instantiates them over [`PaillierRsa`] (Paillier, blinding, RSA
+//! licenses and all), [`Fidelity::Modeled`] over the plaintext
+//! [`Plaintext`] model, which makes a 10⁵-session storm a sub-second
+//! affair while keeping the session semantics — retries, replays,
+//! reorder holdback, corruption — bit-exact.
 //!
 //! One generic [`drive`] loop and one [`Parties`] table serve both, so
 //! neither an event-order bug nor a session-table bug can hide in just
@@ -22,13 +24,12 @@ use crate::model::{
 use crate::net::{Delivery, SimNet};
 use crate::report::{decisions_digest, SimOutcome, StormReport};
 use pisa::{
-    corrupt_session_frame, EngineConfig, PaillierRsa, PisaError, PuClient, SdcServer,
-    SdcSessionEngine, SessionCrypto, StpServer, StpSessionEngine, SuAction, SuClient, SuEvent,
-    SuSessionEngine, SuSessionParams, SystemConfig,
+    corrupt_session_frame, storm_fixture, EngineConfig, PaillierRsa, PisaError, SdcServer,
+    SdcSessionEngine, SessionCrypto, StormFixture, StpServer, StpSessionEngine, SuAction, SuClient,
+    SuEvent, SuSessionEngine, SuSessionParams, SystemConfig,
 };
 use pisa_net::{FaultConfig, FaultPlan, LatencyModel, Party, WireSize};
 use pisa_radio::tv::Channel;
-use pisa_radio::BlockId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -118,8 +119,8 @@ impl SimConfig {
         self
     }
 
-    /// The fault config this storm hands the lottery (same
-    /// `seed ^ 0xfa17` derivation as the threaded `pisa storm`).
+    /// The fault config this storm hands the lottery (the same
+    /// `seed ^ 0xfa17` derivation the socket roles use).
     fn fault_config(&self, seed: u64) -> FaultConfig {
         let mut cfg = FaultConfig::new(seed ^ 0xfa17).with_default_plan(self.plan);
         if let Some(model) = self.latency {
@@ -170,8 +171,8 @@ impl<C: SessionCrypto> Parties<C> {
 
 /// An event on the heap: a scheduled delivery, or an SU receive
 /// deadline. The epoch stamps a deadline to its arming; re-arming
-/// bumps the epoch so stale timers pop as no-ops (the threaded engine
-/// gets this for free from `recv_timeout`).
+/// bumps the epoch so stale timers pop as no-ops (a socket SU gets this
+/// for free from `recv_timeout`).
 enum Ev<M> {
     Deliver(Delivery<M>),
     SuTimeout { su: u32, epoch: u32 },
@@ -309,8 +310,7 @@ where
                 }
                 Party::Su(id) => {
                     // A corrupted frame can name a party that does not
-                    // exist; the threaded network's send just errors,
-                    // here the delivery is simply unclaimed.
+                    // exist; the delivery is simply unclaimed.
                     if let Some(i) = parties.su_index(id) {
                         if !st.is_done(i) {
                             if let Some(su) = parties.sus.get_mut(slot(i)) {
@@ -335,8 +335,8 @@ where
         st.commit();
     }
 
-    // Mirror the threaded engine's end-of-run drain: stranded holdback
-    // messages still count as delivered traffic.
+    // End-of-run drain: stranded holdback messages still count as
+    // delivered traffic.
     net.flush_holdback(now, &mut st.deliveries);
     st.deliveries.clear();
 
@@ -435,12 +435,14 @@ fn assemble(
 }
 
 /// Runs a real-fidelity storm on virtual time over explicitly built
-/// parties — the same signature shape as `pisa::run_storm`, which is
-/// exactly what the sim-vs-threaded equivalence test wants. The per-SU
-/// request randomness, the SDC/STP engine seeds and the fault streams
-/// all derive from `seed` the way the threaded storm derives them, so
-/// a fault-free sim storm and a fault-free threaded storm of the same
-/// seed make identical decisions.
+/// parties (usually a [`pisa::storm_fixture`]). The per-SU request
+/// randomness and the SDC/STP engine seeds derive from `seed` exactly
+/// as the socket roles derive them (`seed ^ (0x50 + i)` for SU *i*,
+/// `seed ^ 0x5dc`, `seed ^ 0x517`), so both reach the same decisions.
+///
+/// # Errors
+///
+/// [`PisaError::UnknownSu`] if an SU never registered with the STP.
 pub fn run_sim_storm_with(
     sus: Vec<(SuClient, Vec<Channel>)>,
     sdc: SdcServer,
@@ -485,8 +487,8 @@ pub fn run_sim_storm_with(
         .into_iter()
         .enumerate()
         .map(|(i, (su, channels))| {
-            // The same dedicated request-randomness stream as the
-            // threaded storm's SU thread.
+            // The same dedicated request-randomness stream as a socket
+            // storm's SU session.
             let mut rng = StdRng::seed_from_u64(seed ^ (0x50 + i as u64));
             SuSessionEngine::new(su, &channels, &params, &mut rng)
         })
@@ -501,43 +503,21 @@ pub fn run_sim_storm_with(
 // The storm entry point
 // ---------------------------------------------------------------------
 
-/// Runs one seeded storm of the canonical `pisa storm` population —
-/// one PU at block 0 on channel 0, SU `i` at block `i % blocks`
-/// requesting channel `i % channels` — and returns its report.
+/// Runs one seeded storm of the canonical [`pisa::storm_fixture`]
+/// population — one PU at block 0 on channel 0, SU `i` at block
+/// `i % blocks` requesting channel `i % channels` — and returns its
+/// report.
 /// Bit-deterministic: the same `(seed, config)` always produces a
 /// byte-identical [`StormReport::to_json`].
 pub fn run_sim_storm(seed: u64, config: &SimConfig) -> StormReport {
     let faults = Some(config.fault_config(seed));
     match config.fidelity {
-        Fidelity::Real => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let cfg = SystemConfig::small_test();
-            let mut stp = StpServer::new(&mut rng, cfg.paillier_bits());
-            let mut sdc =
-                SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.storm", &mut rng);
-            let mut pu = PuClient::new(0, BlockId(0));
-            let e = sdc.e_matrix().clone();
-            let update = pu.tune(Some(Channel(0)), &cfg, &e, stp.public_key(), &mut rng);
-            sdc.handle_pu_update(pu.id(), update)
-                // pisa-lint: allow(panic-freedom): setup-time, before any wire traffic — the canonical PU update matches the storm config by construction
-                .expect("canonical PU update matches the storm config");
-            let sus: Vec<(SuClient, Vec<Channel>)> = (0..config.sus)
-                .map(|i| {
-                    let su = SuClient::new(
-                        pisa::SuId(i),
-                        BlockId(slot(i) % cfg.blocks()),
-                        &cfg,
-                        &mut rng,
-                    );
-                    stp.register_su(su.id(), su.public_key().clone());
-                    let channels = vec![Channel(slot(i) % cfg.channels())];
-                    (su, channels)
-                })
-                .collect();
-            run_sim_storm_with(sus, sdc, stp, faults, &config.engine, seed, config.jitter)
-                // pisa-lint: allow(panic-freedom): setup-time, before any wire traffic — every storm SU was registered in the loop above
-                .expect("every storm SU is registered")
-        }
+        Fidelity::Real => storm_fixture(config.sus, seed)
+            .and_then(|StormFixture { sus, sdc, stp }| {
+                run_sim_storm_with(sus, sdc, stp, faults, &config.engine, seed, config.jitter)
+            })
+            // pisa-lint: allow(panic-freedom): setup-time, before any wire traffic — the canonical fixture's PU update matches its config and every SU is registered by construction
+            .expect("the canonical storm fixture builds and registers every SU"),
         Fidelity::Modeled => {
             let cfg = SystemConfig::small_test();
             let watch = cfg.watch().clone();
@@ -646,6 +626,18 @@ mod tests {
             assert_eq!(o.attempts, 1);
             assert!(o.granted.is_some());
         }
+    }
+
+    #[test]
+    fn unregistered_su_is_reported_not_panicked() {
+        let StormFixture { mut sus, sdc, .. } = storm_fixture(2, 0x572).unwrap();
+        // A fresh STP that knows neither SU.
+        let bits = SystemConfig::small_test().paillier_bits();
+        let stp = StpServer::new(&mut StdRng::seed_from_u64(9), bits);
+        sus.truncate(1);
+        let su_id = sus[0].0.id();
+        let err = run_sim_storm_with(sus, sdc, stp, None, &quick_engine(), 0x572, 0.0).unwrap_err();
+        assert_eq!(err, PisaError::UnknownSu(su_id));
     }
 
     #[test]

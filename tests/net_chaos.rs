@@ -3,15 +3,23 @@
 //! SU swarm as three independent service loops over real loopback
 //! sockets. The chaos invariant must hold across process boundaries:
 //! socket-layer faults can cost time, never change a grant/deny
-//! decision reached by the fault-free in-memory engine on the same
-//! seed.
+//! decision away from the plaintext WATCH reference.
 
-use pisa::{run_memory_baseline, run_su_storm, EngineConfig, NetStormOpts, SdcService, StpService};
+use pisa::{run_su_storm, EngineConfig, NetStormOpts, SdcService, StpService, SuId, SystemConfig};
 use pisa_net::{FaultConfig, FaultPlan};
+use pisa_sim::model::ModelOracle;
 use std::time::Duration;
 
 const SESSIONS: u32 = 16;
 const SEED: u64 = 0xc0a5;
+
+/// The plaintext WATCH decision for every SU of the storm fixture.
+fn watch_decisions(sessions: u32) -> Vec<(SuId, Option<bool>)> {
+    let mut oracle = ModelOracle::new(SystemConfig::small_test().watch());
+    (0..sessions)
+        .map(|i| (SuId(i), Some(oracle.su_decision(i))))
+        .collect()
+}
 
 /// Launches the STP and SDC service loops on ephemeral loopback ports
 /// and runs the SU swarm against them with `--halt` semantics, so the
@@ -36,7 +44,7 @@ fn loopback_storm(opts: &NetStormOpts) -> pisa::EngineReport {
 
 #[test]
 fn sixteen_sessions_survive_socket_drop_duplicate_reorder() {
-    // Same knobs as the in-memory chaos suite: 10% drop/dup/reorder per
+    // Same knobs as the simulated chaos suite: 10% drop/dup/reorder per
     // directed link, a deadline wide enough to absorb 15 other
     // sessions' crypto queueing on the SDC, and a deep retry budget.
     // No corruption here — with `corrupt_possible` every denial burns a
@@ -55,9 +63,7 @@ fn sixteen_sessions_survive_socket_drop_duplicate_reorder() {
         ),
     );
 
-    let baseline = run_memory_baseline(&opts).expect("baseline");
-    assert!(baseline.all_completed(), "fault-free run must complete");
-    let decisions = baseline.decisions();
+    let decisions = watch_decisions(SESSIONS);
     // The scenario must exercise both outcomes, or decision equality
     // below would be vacuous.
     assert!(decisions.iter().any(|(_, g)| *g == Some(true)));
@@ -87,17 +93,16 @@ fn sixteen_sessions_survive_socket_drop_duplicate_reorder() {
 }
 
 #[test]
-fn clean_loopback_storm_matches_memory_engine_exactly() {
+fn clean_loopback_storm_matches_watch_exactly() {
     // Without faults the networked storm is a pure transport swap: the
-    // decisions and the decision *order* must match the in-memory run.
+    // decisions and the decision *order* must match the WATCH reference.
     let mut opts = NetStormOpts::new(8, SEED);
     opts.engine = EngineConfig::default().with_timeout(Duration::from_secs(5));
 
-    let baseline = run_memory_baseline(&opts).expect("baseline");
     let report = loopback_storm(&opts);
 
     assert!(report.all_completed(), "{:?}", report.outcomes);
-    assert_eq!(report.decisions(), baseline.decisions());
+    assert_eq!(report.decisions(), watch_decisions(8));
     // A clean network absorbs zero faults.
     let faults_seen = report.metrics.fault_totals();
     assert_eq!(faults_seen.dropped, 0);

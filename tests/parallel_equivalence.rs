@@ -169,82 +169,44 @@ fn parallel_round_denies_like_sequential() {
 }
 
 // ---------------------------------------------------------------------
-// Simulator-vs-threaded equivalence: the virtual-time storm must agree
-// with the thread-per-party storm wherever the latter is deterministic
-// (no faults, no timeouts): same per-SU decisions, same attempt counts,
-// same wire traffic.
+// The in-process storm against the plaintext reference: with no faults
+// and no timeouts the real-fidelity simulator storm is deterministic,
+// so every SU must reach its WATCH decision on the first attempt.
 // ---------------------------------------------------------------------
 
-/// The canonical storm population (same recipe as `pisa storm` /
-/// `run_sim_storm`): one PU at block 0 on channel 0, SU `i` at block
-/// `i % blocks` requesting channel `i % channels`.
-fn storm_population(seed: u64, n: u32) -> (Vec<(SuClient, Vec<Channel>)>, SdcServer, StpServer) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cfg = SystemConfig::small_test();
-    let mut stp = StpServer::new(&mut rng, cfg.paillier_bits());
-    let mut sdc = SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.storm", &mut rng);
-    let mut pu = PuClient::new(0, BlockId(0));
-    let e = sdc.e_matrix().clone();
-    let update = pu.tune(Some(Channel(0)), &cfg, &e, stp.public_key(), &mut rng);
-    sdc.handle_pu_update(pu.id(), update).unwrap();
-    let clients = (0..n)
-        .map(|i| {
-            let su = SuClient::new(SuId(i), BlockId(i as usize % cfg.blocks()), &cfg, &mut rng);
-            stp.register_su(su.id(), su.public_key().clone());
-            (su, vec![Channel(i as usize % cfg.channels())])
-        })
-        .collect();
-    (clients, sdc, stp)
-}
-
 #[test]
-fn sim_storm_matches_threaded_storm() {
-    use pisa::{run_storm, EngineConfig};
+fn sim_storm_matches_watch_oracle() {
+    use pisa::{storm_fixture, EngineConfig, StormFixture};
+    use pisa_sim::model::ModelOracle;
     use pisa_sim::run_sim_storm_with;
     use std::time::Duration;
 
     let seed = 0xe405;
     let n = 12;
-    // A timeout far beyond any crypto latency, so the threaded run is
-    // deterministic: no spurious timeouts, exactly one attempt per SU.
+    // A timeout far beyond any crypto latency: exactly one attempt per SU.
     let engine = EngineConfig::default().with_timeout(Duration::from_secs(120));
 
-    let (clients, sdc, stp) = storm_population(seed, n);
-    let (threaded, _, _) = run_storm(clients, sdc, stp, None, &engine, seed).unwrap();
-    assert!(threaded.all_completed());
-
-    let (clients, sdc, stp) = storm_population(seed, n);
-    let sim = run_sim_storm_with(clients, sdc, stp, None, &engine, seed, 0.0).unwrap();
+    let StormFixture { sus, sdc, stp } = storm_fixture(n, seed).unwrap();
+    let sim = run_sim_storm_with(sus, sdc, stp, None, &engine, seed, 0.0).unwrap();
     assert!(sim.all_terminal());
     assert_eq!(sim.fidelity, "real");
 
-    // Identical per-SU decisions and attempt counts.
-    let mut threaded_dec: Vec<(u32, Option<bool>, u32)> = threaded
-        .outcomes
-        .iter()
-        .map(|o| (o.su_id.0, o.granted, o.attempts))
-        .collect();
-    threaded_dec.sort_unstable();
-    let mut sim_dec: Vec<(u32, Option<bool>, u32)> = sim
+    // Identical per-SU decisions, each on the first attempt.
+    let mut oracle = ModelOracle::new(SystemConfig::small_test().watch());
+    let sim_dec: Vec<(u32, Option<bool>, u32)> = sim
         .outcomes
         .iter()
         .map(|o| (o.su, o.granted, o.attempts))
         .collect();
-    sim_dec.sort_unstable();
-    assert_eq!(sim_dec, threaded_dec, "per-SU decisions diverged");
-    assert!(
-        sim_dec
-            .iter()
-            .all(|&(_, granted, attempts)| granted.is_some() && attempts == 1),
-        "a fault-free storm decides every session on the first attempt"
-    );
+    let want: Vec<(u32, Option<bool>, u32)> = (0..n)
+        .map(|i| (i, Some(oracle.su_decision(i)), 1))
+        .collect();
+    assert_eq!(sim_dec, want, "per-SU decisions diverged from WATCH");
     // Both grant and deny paths exercised (PU sits on channel 0).
     assert!(sim_dec.iter().any(|&(_, g, _)| g == Some(true)));
     assert!(sim_dec.iter().any(|&(_, g, _)| g == Some(false)));
 
-    // Identical wire traffic: the virtual network moved the same
-    // frames (request, query, reply, response per session).
-    assert_eq!(sim.messages, threaded.metrics.total_messages());
-    assert_eq!(sim.bytes, threaded.metrics.total_bytes());
+    // The virtual network moved exactly one request, query, reply and
+    // response per session.
     assert_eq!(sim.messages, u64::from(n) * 4);
 }
