@@ -73,16 +73,27 @@ fn real_sim_exports_phases_and_trace() {
     ]);
 
     let m = metrics.json();
-    let phases: Vec<&str> = m
+    let phases: Vec<(&str, u64)> = m
         .get("phases")
         .and_then(Value::as_array)
         .expect("phases")
         .iter()
-        .filter_map(|p| p.get("name").and_then(Value::as_str))
+        .filter_map(|p| {
+            let name = p.get("name").and_then(Value::as_str)?;
+            Some((name, p.get("count").and_then(Value::as_u64)?))
+        })
         .collect();
+    let count = |want: &str| phases.iter().find(|(name, _)| *name == want).map(|p| p.1);
     for want in ["sign_test", "key_conversion", "signature_release"] {
-        assert!(phases.contains(&want), "missing phase {want}: {phases:?}");
+        assert!(count(want).is_some(), "missing phase {want}: {phases:?}");
     }
+    // Each phase-1 query is key-converted at most once: re-sends replay
+    // the STP's memoized reply.
+    let (kc, st) = (count("key_conversion"), count("sign_test"));
+    assert!(
+        kc <= st,
+        "{kc:?} key conversions for {st:?} sign-test queries"
+    );
     let on_wire = m.get("net").and_then(|n| n.get("bytes_on_wire"));
     assert!(on_wire.and_then(Value::as_u64).is_some_and(|b| b > 0));
     // The `sim` section leads, as in a modeled report.

@@ -43,6 +43,7 @@ use crate::su::SuClient;
 use crate::SystemConfig;
 use pisa_crypto::paillier::PaillierPublicKey;
 use pisa_crypto::rsa::RsaPublicKey;
+use pisa_crypto::sha256::Sha256;
 use pisa_net::{NetMetrics, Party};
 use pisa_radio::tv::Channel;
 use rand::rngs::StdRng;
@@ -348,8 +349,10 @@ impl<C: SessionCrypto> SdcSessionEngine<C> {
     }
 }
 
-/// The STP side of the session protocol: stateless key conversion of
-/// each blinded sign-test query.
+/// The STP side of the session protocol: the sign test and key
+/// conversion of each blinded sign-test query. Under [`PaillierRsa`] a
+/// query re-sent on an SU retry is converted once and its reply
+/// replayed (see [`PaillierStp`]).
 pub struct StpSessionEngine<C: SessionCrypto = PaillierRsa> {
     stp: C::Stp,
     metrics: NetMetrics,
@@ -523,10 +526,34 @@ pub struct PaillierSdc {
 }
 
 /// The STP's keys and crypto state under [`PaillierRsa`].
+///
+/// It also memoizes its last reply per SU, keyed by a SHA-256 digest of
+/// the query it answers. The SDC re-sends a stored query unchanged on every SU retry, so a
+/// byte-identical query is answered from the memo, re-tagged with the
+/// incoming attempt, instead of costing another key conversion. An
+/// entry is written only after a successful conversion, so the memo
+/// never outgrows the SU key directory, and it is not checkpointed: a
+/// restarted STP converts again.
 pub struct PaillierStp {
     server: StpServer,
     workers: usize,
     rng: StdRng,
+    replies: HashMap<SuId, ([u8; 32], StpToSdcMsg)>,
+}
+
+/// The STP memo key of a sign-test query: SHA-256 over everything its
+/// reply depends on besides `pk_j` — the matrix shape, the region and
+/// every blinded ciphertext.
+fn query_digest(query: &SdcToStpMsg) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(&(query.v_matrix.channels() as u64).to_be_bytes());
+    h.update(&(query.region_blocks as u64).to_be_bytes());
+    for ct in query.v_matrix.ciphertexts() {
+        let bytes = ct.as_raw().to_be_bytes();
+        h.update(&(bytes.len() as u64).to_be_bytes());
+        h.update(&bytes);
+    }
+    h.finalize()
 }
 
 /// One SU's keys and encrypted request under [`PaillierRsa`].
@@ -630,10 +657,21 @@ impl SessionCrypto for PaillierRsa {
         let PisaMessage::SdcToStp(query) = msg.msg else {
             return None;
         };
-        let (reply, _obs) = stp
-            .server
-            .key_convert_parallel(&query, stp.workers, &mut stp.rng)
-            .ok()?;
+        let key = query_digest(&query);
+        let reply = match stp.replies.get(&query.su_id) {
+            Some((memo_key, reply)) if *memo_key == key => {
+                let _span = pisa_obs::span("key_conversion.replay");
+                reply.clone()
+            }
+            _ => {
+                let (reply, _obs) = stp
+                    .server
+                    .key_convert_parallel(&query, stp.workers, &mut stp.rng)
+                    .ok()?;
+                stp.replies.insert(query.su_id, (key, reply.clone()));
+                reply
+            }
+        };
         Some(SessionMsg {
             session: msg.session,
             attempt: msg.attempt,
@@ -843,6 +881,7 @@ impl StpSessionEngine<PaillierRsa> {
             server: stp,
             workers,
             rng: StdRng::seed_from_u64(seed),
+            replies: HashMap::new(),
         };
         Self::from_party(party, metrics)
     }
@@ -859,8 +898,10 @@ impl StpSessionEngine<PaillierRsa> {
     }
 
     /// Mutable access to the wrapped server, for restoring its SU key
-    /// directory from a checkpoint before serving.
+    /// directory from a checkpoint before serving. Drops the reply
+    /// memo, whose replies were encrypted under the old directory.
     pub fn server_mut(&mut self) -> &mut StpServer {
+        self.stp.replies.clear();
         &mut self.stp.server
     }
 }
@@ -905,5 +946,147 @@ impl SuSessionEngine<PaillierRsa> {
             params.corrupt_possible,
             params.metrics.clone(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{storm_fixture, StormFixture};
+    use pisa_crypto::paillier::Ciphertext;
+
+    /// The one-SU storm fixture's STP, and two blinded queries of that
+    /// SU's request (the same request under two fresh ε).
+    fn stp_and_queries() -> (StpServer, SdcToStpMsg, SdcToStpMsg) {
+        let StormFixture {
+            mut sus,
+            mut sdc,
+            stp,
+        } = storm_fixture(1, 0x3e30).expect("fixture");
+        let (mut su, channels) = sus.pop().expect("one SU");
+        let mut rng = StdRng::seed_from_u64(0x3e31);
+        let cfg = sdc.config().clone();
+        let request = su.build_request(&cfg, stp.public_key(), &channels, &mut rng);
+        let first = sdc
+            .process_request_phase1_parallel(&request, 1, &mut rng)
+            .expect("phase 1");
+        let second = sdc
+            .process_request_phase1_parallel(&request, 1, &mut rng)
+            .expect("phase 1");
+        (stp, first, second)
+    }
+
+    fn engine(stp: StpServer) -> StpSessionEngine {
+        StpSessionEngine::new(stp, 2, NetMetrics::new(), 0x517)
+    }
+
+    /// Feeds `query` under `attempt`; returns the reply's attempt tag
+    /// and `X̃` ciphertexts.
+    fn convert(
+        engine: &mut StpSessionEngine,
+        query: &SdcToStpMsg,
+        attempt: u32,
+    ) -> Option<(u32, Vec<Ciphertext>)> {
+        let frame = SessionMsg {
+            session: u64::from(query.su_id.0),
+            attempt,
+            msg: PisaMessage::SdcToStp(query.clone()),
+        };
+        match engine.handle(frame)? {
+            (
+                Party::Sdc,
+                SessionMsg {
+                    attempt,
+                    msg: PisaMessage::StpToSdc(reply),
+                    ..
+                },
+            ) => Some((attempt, reply.x_matrix.ciphertexts().to_vec())),
+            other => panic!("unexpected STP output {other:?}"),
+        }
+    }
+
+    /// How many spans named `name` closed on the thread that closed
+    /// `marker`.
+    fn spans_on_thread_of(marker: &str, name: &str) -> usize {
+        let spans = pisa_obs::report().spans;
+        let tid = spans
+            .iter()
+            .rev()
+            .find(|s| s.name == marker)
+            .expect("marker span recorded")
+            .tid;
+        spans
+            .iter()
+            .filter(|s| s.tid == tid && s.name == name)
+            .count()
+    }
+
+    /// The one test in this crate that switches obs on, so no other test
+    /// toggles it underneath; spans are counted on this thread only.
+    #[test]
+    fn re_sent_query_is_converted_once_and_replayed_per_attempt() {
+        let (stp, query, _) = stp_and_queries();
+        let mut stp = engine(stp);
+        pisa_obs::set_enabled(true);
+        let marker = pisa_obs::span("engine_test.memo");
+        let replies: Vec<_> = (0..3)
+            .map(|attempt| convert(&mut stp, &query, attempt).expect("converted"))
+            .collect();
+        // A restarted STP keeps its key directory but not the memo.
+        let mut restarted = engine(stp.into_server());
+        let after_restart = convert(&mut restarted, &query, 3).expect("converted");
+        drop(marker);
+        let conversions = spans_on_thread_of("engine_test.memo", "key_conversion");
+        let replays = spans_on_thread_of("engine_test.memo", "key_conversion.replay");
+        pisa_obs::set_enabled(false);
+
+        for (attempt, (tag, x)) in (0..).zip(&replies) {
+            assert_eq!(*tag, attempt, "reply not re-tagged with its attempt");
+            assert_eq!(x.len(), query.v_matrix.len());
+            assert!(x == &replies[0].1, "attempt {attempt}: X̃ differs");
+        }
+        assert_eq!(after_restart.0, 3);
+        assert_eq!(conversions, 2, "one conversion, then one after restart");
+        assert_eq!(replays, 2, "attempts 1 and 2 replay the memo");
+    }
+
+    #[test]
+    fn new_query_for_the_same_su_converts_afresh_and_replaces_the_entry() {
+        let (stp, first, second) = stp_and_queries();
+        let mut stp = engine(stp);
+        let (_, x_first) = convert(&mut stp, &first, 0).expect("converted");
+        let (_, x_second) = convert(&mut stp, &second, 1).expect("converted");
+        assert!(x_second != x_first, "a new ε must be converted afresh");
+        assert_eq!(stp.stp.replies.len(), 1, "one entry per SU");
+        assert_eq!(
+            stp.stp.replies.get(&second.su_id).map(|(key, _)| *key),
+            Some(query_digest(&second))
+        );
+        // The newest query replays; the replaced one converts again.
+        let (_, replayed) = convert(&mut stp, &second, 2).expect("converted");
+        assert!(replayed == x_second);
+        let (_, reconverted) = convert(&mut stp, &first, 3).expect("converted");
+        assert!(reconverted != x_first, "the replaced entry was replayed");
+    }
+
+    #[test]
+    fn unknown_su_query_is_rejected_and_not_memoized() {
+        let (stp, mut query, _) = stp_and_queries();
+        let mut stp = engine(stp);
+        query.su_id = SuId(99);
+        assert!(convert(&mut stp, &query, 0).is_none());
+        assert!(convert(&mut stp, &query, 1).is_none());
+        assert!(stp.stp.replies.is_empty());
+        assert_eq!(stp.metrics.session(99).map(|s| s.rejected), Some(2));
+    }
+
+    #[test]
+    fn server_mut_drops_the_memo() {
+        let (stp, query, _) = stp_and_queries();
+        let mut stp = engine(stp);
+        let (_, x) = convert(&mut stp, &query, 0).expect("converted");
+        stp.server_mut();
+        let (_, again) = convert(&mut stp, &query, 1).expect("converted");
+        assert!(again != x, "a directory change must not replay old replies");
     }
 }

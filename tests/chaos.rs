@@ -101,6 +101,51 @@ fn corruption_is_rejected_not_trusted() {
     );
 }
 
+/// Each phase-1 query is key-converted at most once. Under drop-only
+/// faults on FIFO links an SU retry makes the SDC re-send its stored
+/// query, and the STP answers the re-send from its reply memo instead
+/// of converting again — so real conversions never outnumber sign
+/// tests, and decisions still equal the WATCH oracle.
+#[test]
+fn drop_retries_key_convert_each_query_once() {
+    let seed = 0xc0a8;
+    let faults = FaultConfig::new(0xd209).with_default_plan(FaultPlan::none().with_drop(0.10));
+    let engine = EngineConfig::default()
+        .with_timeout(Duration::from_millis(1500))
+        .with_max_retries(12);
+    pisa_obs::set_enabled(true);
+    let marker = pisa_obs::span("chaos.memo_storm");
+    let report = storm(SESSIONS, seed, Some(faults), &engine);
+    drop(marker);
+    let spans = pisa_obs::report().spans;
+    pisa_obs::set_enabled(false);
+
+    assert!(report.all_terminal(), "{:?}", report.outcomes);
+    assert_eq!(decisions(&report), watch_decisions(SESSIONS));
+    // Other tests in this binary may record spans concurrently: count
+    // only this storm's, which all close on this test's thread.
+    let tid = spans
+        .iter()
+        .find(|s| s.name == "chaos.memo_storm")
+        .expect("marker span recorded")
+        .tid;
+    let count = |name: &str| {
+        spans
+            .iter()
+            .filter(|s| s.tid == tid && s.name == name)
+            .count()
+    };
+    let (conversions, sign_tests) = (count("key_conversion"), count("sign_test"));
+    assert!(
+        count("key_conversion.replay") > 0,
+        "no query was re-sent, so the memo went untested"
+    );
+    assert!(
+        conversions <= sign_tests,
+        "{conversions} key conversions for {sign_tests} sign-test queries"
+    );
+}
+
 /// Observability must be close to free: the 16-session storm with
 /// spans + counters enabled may cost at most 3% more wall time than the
 /// identical run with them disabled. Min-of-N is used on both sides to
