@@ -51,11 +51,6 @@ commands:
                                deterministic storm and writes its full message
                                trace; --replay re-runs the trace's storm and
                                byte-compares every frame (exit 1 on divergence)
-  bench [--bits N] [--iters N] [--metrics] [--metrics-out FILE]
-        [--pool N] [--threads N]
-                               per-phase protocol timing (paper Tables 2-3);
-                               --pool precomputes N randomizer factors per
-                               party offline, --threads fans phases out
   attack                       curious-SDC inference demo (WATCH vs PISA)
   info                         print the paper's Table I configuration
 
@@ -206,22 +201,6 @@ pub enum Command {
         verify: bool,
         /// Where to write the per-phase metrics report as JSON.
         metrics_out: Option<String>,
-    },
-    /// Per-phase protocol benchmark mirroring the paper's Tables 2-3.
-    Bench {
-        /// Paillier modulus bits.
-        bits: usize,
-        /// Iterations to average over.
-        iters: usize,
-        /// Print the per-phase metrics table.
-        metrics: bool,
-        /// Where to write the metrics report as JSON.
-        metrics_out: Option<String>,
-        /// Randomizer-pool capacity (0 = pools disabled); refilled
-        /// between iterations, outside the timed phases.
-        pool: usize,
-        /// Worker threads for the phase fan-outs.
-        threads: usize,
     },
     /// Golden-trace record/replay regression gate.
     Trace {
@@ -480,60 +459,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 halt,
                 verify,
                 metrics_out,
-            })
-        }
-        "bench" => {
-            let (mut bits, mut iters) = (512usize, 4usize);
-            let mut metrics = false;
-            let mut metrics_out = None;
-            let (mut pool, mut threads) = (0usize, 1usize);
-            let mut it = it.peekable();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--metrics" => metrics = true,
-                    "--bits" => {
-                        let value = it.next().ok_or("flag --bits needs a value")?;
-                        bits = parse_num(flag, value)?;
-                        // The bench config's blinding budget needs a
-                        // 256-bit plaintext space at minimum.
-                        if bits < 256 || !bits.is_multiple_of(2) {
-                            return Err(format!(
-                                "--bits must be an even number >= 256, got {bits}"
-                            ));
-                        }
-                    }
-                    "--iters" => {
-                        let value = it.next().ok_or("flag --iters needs a value")?;
-                        iters = parse_num(flag, value)?;
-                    }
-                    "--metrics-out" => {
-                        let value = it.next().ok_or("flag --metrics-out needs a value")?;
-                        metrics_out = Some(value.to_owned());
-                    }
-                    "--pool" => {
-                        let value = it.next().ok_or("flag --pool needs a value")?;
-                        pool = parse_num(flag, value)?;
-                    }
-                    "--threads" => {
-                        let value = it.next().ok_or("flag --threads needs a value")?;
-                        threads = parse_num(flag, value)?;
-                        if threads == 0 {
-                            return Err("--threads must be positive".into());
-                        }
-                    }
-                    other => return Err(format!("unknown flag {other}")),
-                }
-            }
-            if iters == 0 {
-                return Err("--iters must be positive".into());
-            }
-            Ok(Command::Bench {
-                bits,
-                iters,
-                metrics,
-                metrics_out,
-                pool,
-                threads,
             })
         }
         "--help" | "-h" | "help" => Err("help requested".into()),
@@ -906,40 +831,6 @@ mod tests {
         assert!(parse(&argv("su --timeout-ms 0")).is_err());
         assert!(parse(&argv("su --metrics-out")).is_err());
         assert!(parse(&argv("su --listen 127.0.0.1:1")).is_err());
-    }
-
-    #[test]
-    fn bench_defaults_and_flags() {
-        assert_eq!(
-            parse(&argv("bench")).unwrap(),
-            Command::Bench {
-                bits: 512,
-                iters: 4,
-                metrics: false,
-                metrics_out: None,
-                pool: 0,
-                threads: 1,
-            }
-        );
-        assert_eq!(
-            parse(&argv(
-                "bench --bits 256 --iters 2 --metrics --metrics-out b.json --pool 128 --threads 4"
-            ))
-            .unwrap(),
-            Command::Bench {
-                bits: 256,
-                iters: 2,
-                metrics: true,
-                metrics_out: Some("b.json".into()),
-                pool: 128,
-                threads: 4,
-            }
-        );
-        assert!(parse(&argv("bench --bits 63")).is_err());
-        assert!(parse(&argv("bench --iters 0")).is_err());
-        assert!(parse(&argv("bench --threads 0")).is_err());
-        assert!(parse(&argv("bench --pool")).is_err());
-        assert!(parse(&argv("bench --what 1")).is_err());
     }
 
     #[test]

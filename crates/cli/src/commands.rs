@@ -74,14 +74,6 @@ pub fn run(cmd: Command) -> ExitCode {
             verify,
             metrics_out,
         } => su_storm(&sdc, &net, halt, verify, metrics_out),
-        Command::Bench {
-            bits,
-            iters,
-            metrics,
-            metrics_out,
-            pool,
-            threads,
-        } => bench(bits, iters, metrics, metrics_out, pool, threads),
         Command::Attack => done(attack),
         Command::Info => done(info),
     }
@@ -633,86 +625,6 @@ fn sim(opts: SimOpts) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Per-phase protocol benchmark: runs `iters` full request rounds on an
-/// in-process system with obs enabled and prints the phase table the
-/// paper reports as Tables 2-3.
-///
-/// `pool > 0` precomputes that many `rⁿ` factors per party before each
-/// iteration (the paper's §VI-A offline/online split) so the timed
-/// phases pay one multiplication instead of one exponentiation per
-/// entry; `threads > 1` fans the SDC sign test and STP key conversion
-/// out over scoped workers.
-fn bench(
-    bits: usize,
-    iters: usize,
-    metrics: bool,
-    metrics_out: Option<String>,
-    pool: usize,
-    threads: usize,
-) -> ExitCode {
-    use pisa_watch::WatchConfig;
-
-    let mut rng = StdRng::seed_from_u64(0xb37c);
-    let cfg = SystemConfig::new(WatchConfig::small_test(), bits, 64, 64);
-    println!(
-        "bench: {} channels x {} blocks, {bits}-bit keys, {iters} iteration(s), \
-         pool {pool}, {threads} thread(s)\n",
-        cfg.channels(),
-        cfg.blocks()
-    );
-
-    let mut system = PisaSystem::setup(cfg, &mut rng);
-    system.pu_update(0, BlockId(0), Some(Channel(0)), &mut rng);
-    let su = system.register_su(BlockId(1), &mut rng);
-    if pool > 0 {
-        system.enable_pools(pool);
-    }
-    system.set_threads(threads);
-
-    pisa_obs::set_enabled(true);
-    pisa_obs::reset();
-    let t = Instant::now();
-    let mut request_bytes = 0u64;
-    for i in 0..iters {
-        // The offline phase: pools are topped up between rounds, outside
-        // the per-phase spans, mirroring a deployment that precomputes
-        // during idle time.
-        system.refill_pools(&mut rng);
-        let outcome = system.request(su, &[Channel(i % 2)], &mut rng);
-        request_bytes = outcome.request_bytes as u64;
-    }
-    let elapsed = t.elapsed();
-    pisa_obs::set_enabled(false);
-
-    let report = pisa_obs::report();
-    if metrics || metrics_out.is_some() {
-        println!("per-phase breakdown (paper Tables 2-3):");
-        print!("{}", report.render_table());
-        println!();
-    }
-    println!(
-        "{iters} round(s) in {:.2} s; request size {:.1} KiB; totals: \
-         {} mod-exps, {} encryptions, {} decryptions, \
-         {} mod-exps avoided, {} pool misses",
-        elapsed.as_secs_f64(),
-        request_bytes as f64 / 1024.0,
-        report.totals.mod_exps,
-        report.totals.encryptions,
-        report.totals.decryptions,
-        report.totals.mod_exps_avoided,
-        report.totals.pool_misses,
-    );
-    if metrics_out.is_none() && !metrics {
-        println!("(pass --metrics for the per-phase table, --metrics-out FILE for JSON)");
-    }
-    if let Some(path) = metrics_out {
-        if !write_output("metrics report", &path, &report.to_json()) {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 fn demo() {

@@ -73,10 +73,31 @@ fn real_sim_exports_phases_and_trace() {
     ]);
 
     let m = metrics.json();
-    let phases: Vec<(&str, u64)> = m
-        .get("phases")
-        .and_then(Value::as_array)
-        .expect("phases")
+    let reports = m.get("phases").and_then(Value::as_array).expect("phases");
+    // Every phase carries integer timings and the seven op counters.
+    for p in reports {
+        let name = p.get("name").and_then(Value::as_str);
+        for field in ["count", "total_ns", "mean_ns", "p95_ns"] {
+            let v = p.get(field).and_then(Value::as_f64);
+            assert!(
+                v.is_some_and(|n| n >= 0.0 && n.fract() == 0.0),
+                "{name:?}.{field} = {v:?}"
+            );
+        }
+        for field in [
+            "mod_exps",
+            "mod_muls",
+            "encryptions",
+            "decryptions",
+            "rerandomizations",
+            "mod_exps_avoided",
+            "pool_misses",
+        ] {
+            let v = p.get("ops").and_then(|ops| ops.get(field));
+            assert!(v.and_then(Value::as_f64).is_some(), "{name:?}.ops.{field}");
+        }
+    }
+    let phases: Vec<(&str, u64)> = reports
         .iter()
         .filter_map(|p| {
             let name = p.get("name").and_then(Value::as_str)?;

@@ -1,6 +1,6 @@
 //! The Spectrum Database Controller server.
 
-use crate::cipher_matrix::{i128_to_ibig, CipherMatrix};
+use crate::cipher_matrix::CipherMatrix;
 use crate::config::SystemConfig;
 use crate::error::PisaError;
 use crate::keys::SuId;
@@ -225,7 +225,7 @@ impl SdcServer {
     /// the paper times at ~2.6 s per update. [`handle_pu_update`]
     /// maintains the same matrix incrementally; this method is the
     /// recovery path (and the cost baseline for the `fig6_system_eval`
-    /// harness).
+    /// example).
     ///
     /// [`handle_pu_update`]: Self::handle_pu_update
     pub fn reaggregate_budget(&mut self) {
@@ -805,12 +805,6 @@ impl SdcServer {
     /// encrypted and unknown to the SDC).
     pub fn expected_initial_n(&self) -> IntMatrix {
         self.e_plain.clone()
-    }
-
-    /// Converts a plaintext value into the signed domain used
-    /// throughout the protocol (helper for benches).
-    pub fn to_plain_domain(v: i128) -> Ibig {
-        i128_to_ibig(v)
     }
 }
 

@@ -279,6 +279,23 @@ mod tests {
         assert_eq!(msg.f_matrix.len(), cfg.channels() * 10);
     }
 
+    /// §VI-A: the encoded request grows by exactly one ciphertext per
+    /// channel for each block added to the exposed region.
+    #[test]
+    fn encoded_request_is_linear_in_region() {
+        let (cfg, global, mut su, mut rng) = setup();
+        let lens: Vec<usize> = [8, 16, 24]
+            .into_iter()
+            .map(|region| {
+                su.set_privacy(LocationPrivacy::Region(region));
+                let msg = su.build_request(&cfg, global.public(), &[Channel(0)], &mut rng);
+                crate::PisaMessage::SuRequest(msg).encode().unwrap().len()
+            })
+            .collect();
+        let step = 8 * cfg.channels() * global.public().ciphertext_bytes();
+        assert_eq!([lens[1] - lens[0], lens[2] - lens[1]], [step, step]);
+    }
+
     #[test]
     #[should_panic(expected = "excludes the SU's own block")]
     fn region_must_contain_su() {

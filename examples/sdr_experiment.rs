@@ -1,7 +1,9 @@
 //! The paper's §VI-B SDR experiment, end to end: two SUs and one PU on
 //! WiFi channel 6 (2.437 GHz), four scenarios, with the spectrum
 //! decision made by the privacy-preserving protocol and the "air"
-//! provided by the signal-level simulator (Figures 7–11).
+//! provided by the signal-level simulator (Figures 7–11): packet
+//! timelines, the Figure 8 envelope and amplitude ratio, and the
+//! scenario-4 decision.
 //!
 //! Run with:
 //! ```sh
@@ -34,12 +36,31 @@ fn main() {
     println!("scenario 1: PU monitors while SU1 and SU2 transmit");
     air.transmit(su1_node, 0.0, 120.0);
     air.transmit(su2_node, 200.0, 120.0);
-    for p in air.observe(pu_node) {
+    let heard = air.observe(pu_node);
+    for p in &heard {
         println!(
             "  PU hears {} at t={:>5.0} µs  amplitude {:.5}  ({:.1} dBm)",
             p.from, p.time_us, p.amplitude, p.rx_power_dbm
         );
     }
+    let ratio = heard[0].amplitude / heard[1].amplitude;
+    println!("  amplitude ratio SU1/SU2 = {ratio:.1} (unequal distances, Figure 8)");
+    assert!(ratio > 1.0, "the nearer SU must arrive stronger");
+
+    // Figure 8's waveform, GNU-Radio style (60 samples across 420 µs).
+    let trace = air.render_trace(pu_node, 420.0, 60.0 / 420.0);
+    let peak = trace.iter().cloned().fold(0.0f64, f64::max);
+    println!("  envelope at PU (420 µs):");
+    for row in (1..=6).rev() {
+        // Quadratic level spacing so the weaker burst stays visible.
+        let frac = row as f64 / 6.0;
+        let line: String = trace
+            .iter()
+            .map(|&a| if a >= peak * frac * frac { '█' } else { ' ' })
+            .collect();
+        println!("    |{line}");
+    }
+    println!("    +{}", "-".repeat(trace.len()));
 
     // ── Scenario 2: the PU claims the channel. ────────────────────────
     println!("\nscenario 2: PU tunes in — sends its encrypted update to the SDC");
@@ -72,9 +93,12 @@ fn main() {
         }
     }
     let seen = air.observe(pu_node);
+    let last = &seen[seen.len() - 1];
     println!(
-        "\n  PU observes {} packets in 20 ms, all from {} (Figure 9)",
+        "\n  PU observes {} packets within {:.0} ms, all from {} \
+         (Figure 9; paper: ~11 packets / 20 ms)",
         seen.len(),
+        (last.time_us + last.duration_us) / 1000.0,
         seen[0].from
     );
     assert_eq!(seen.len(), 11);
