@@ -51,33 +51,6 @@ impl CipherMatrix {
         }
     }
 
-    /// Parallel variant of [`encrypt`](Self::encrypt): splits the
-    /// entries across `threads` scoped workers. Randomness is derived
-    /// *per entry* from a single draw on `rng`, so the output is
-    /// byte-identical for any thread count (it differs from the
-    /// sequential [`encrypt`](Self::encrypt), which streams `rng`
-    /// entry by entry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a worker panics.
-    pub fn encrypt_parallel<R: rand::Rng + ?Sized>(
-        m: &pisa_watch::IntMatrix,
-        pk: &PaillierPublicKey,
-        threads: usize,
-        rng: &mut R,
-    ) -> Self {
-        let base = rng.next_u64();
-        CipherMatrix {
-            channels: m.channels(),
-            blocks: m.blocks(),
-            data: par_map(m.as_slice(), threads, |idx, &v| {
-                let mut erng = crate::sdc::entry_rng(base, idx);
-                pk.encrypt(&i128_to_ibig(v), &mut erng)
-            }),
-        }
-    }
-
     /// Deterministic encryption (r = 1) for **public** matrices such as
     /// **E** — not semantically secure, used only where the paper treats
     /// the data as public knowledge.
@@ -165,27 +138,6 @@ impl CipherMatrix {
         self.zip(other, |a, b| pk.add(a, b))
     }
 
-    /// Parallel ⊕ across `threads` scoped workers — same result as
-    /// [`add`](Self::add) (the operation is deterministic), just fanned
-    /// out row-wise for big matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, `threads == 0`, or a worker panic.
-    pub fn add_parallel(
-        &self,
-        other: &CipherMatrix,
-        pk: &PaillierPublicKey,
-        threads: usize,
-    ) -> CipherMatrix {
-        self.check_shape(other);
-        CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: par_map(&self.data, threads, |idx, a| pk.add(a, &other.data[idx])),
-        }
-    }
-
     /// Element-wise homomorphic subtraction ⊖. Fails on the first
     /// non-unit (adversarial) ciphertext in `other`.
     ///
@@ -198,30 +150,6 @@ impl CipherMatrix {
         pk: &PaillierPublicKey,
     ) -> Result<CipherMatrix, pisa_crypto::CryptoError> {
         self.try_zip(other, |a, b| pk.sub(a, b))
-    }
-
-    /// Parallel ⊖ across `threads` scoped workers; identical result to
-    /// [`sub`](Self::sub), and like it fails on any non-unit
-    /// (adversarial) ciphertext in `other` — every entry is checked, not
-    /// just the ones before the first failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, `threads == 0`, or a worker panic.
-    pub fn sub_parallel(
-        &self,
-        other: &CipherMatrix,
-        pk: &PaillierPublicKey,
-        threads: usize,
-    ) -> Result<CipherMatrix, pisa_crypto::CryptoError> {
-        self.check_shape(other);
-        Ok(CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: par_map(&self.data, threads, |idx, a| pk.sub(a, &other.data[idx]))
-                .into_iter()
-                .collect::<Result<_, _>>()?,
-        })
     }
 
     /// Scalar multiplication ⊗ of every entry by `k`. Fails on the first
@@ -242,27 +170,6 @@ impl CipherMatrix {
         })
     }
 
-    /// Parallel ⊗ across `threads` scoped workers; identical result to
-    /// [`scale`](Self::scale).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a worker panics.
-    pub fn scale_parallel(
-        &self,
-        k: &Ibig,
-        pk: &PaillierPublicKey,
-        threads: usize,
-    ) -> Result<CipherMatrix, pisa_crypto::CryptoError> {
-        Ok(CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: par_map(&self.data, threads, |_, c| pk.scalar_mul(c, k))
-                .into_iter()
-                .collect::<Result<_, _>>()?,
-        })
-    }
-
     /// Re-randomizes every entry (the paper's cheap request refresh).
     pub fn rerandomize<R: rand::Rng + ?Sized>(
         &self,
@@ -276,53 +183,10 @@ impl CipherMatrix {
         }
     }
 
-    /// Parallel re-randomization across `threads` scoped workers.
-    /// Randomness is derived *per entry* from a single draw on `rng`, so
-    /// the output is byte-identical for any thread count (it differs
-    /// from the sequential [`rerandomize`](Self::rerandomize), which
-    /// streams `rng` entry by entry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a worker panics.
-    pub fn rerandomize_parallel<R: rand::Rng + ?Sized>(
-        &self,
-        pk: &PaillierPublicKey,
-        threads: usize,
-        rng: &mut R,
-    ) -> CipherMatrix {
-        let base = rng.next_u64();
-        CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: par_map(&self.data, threads, |idx, c| {
-                let mut erng = crate::sdc::entry_rng(base, idx);
-                pk.rerandomize(c, &mut erng)
-            }),
-        }
-    }
-
     /// Decrypts every entry (test/diagnostic use by key holders).
     pub fn decrypt(&self, sk: &pisa_crypto::paillier::PaillierSecretKey) -> pisa_watch::IntMatrix {
         pisa_watch::IntMatrix::from_fn(self.channels, self.blocks, |c, b| {
             ibig_to_i128(&sk.decrypt(self.get(c, b)))
-        })
-    }
-
-    /// Parallel decryption across `threads` scoped workers; identical
-    /// result to [`decrypt`](Self::decrypt).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a worker panics.
-    pub fn decrypt_parallel(
-        &self,
-        sk: &pisa_crypto::paillier::PaillierSecretKey,
-        threads: usize,
-    ) -> pisa_watch::IntMatrix {
-        let plain = par_map(&self.data, threads, |_, c| ibig_to_i128(&sk.decrypt(c)));
-        pisa_watch::IntMatrix::from_fn(self.channels, self.blocks, |c, b| {
-            plain[c * self.blocks + b]
         })
     }
 
@@ -390,44 +254,6 @@ impl fmt::Debug for CipherMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "CipherMatrix({}x{})", self.channels, self.blocks)
     }
-}
-
-/// Fans `f` out over `items` on `threads` scoped workers, preserving
-/// entry order. Entry `i` always receives index `i` regardless of which
-/// chunk it lands in, so index-derived randomness is invariant under the
-/// thread count. A worker panic is re-raised on the caller with its
-/// original payload.
-fn par_map<T: Sync, U: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(usize, &T) -> U + Sync,
-) -> Vec<U> {
-    assert!(threads > 0, "need at least one worker");
-    let chunk_len = items.len().div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(chunk_no, chunk)| {
-                let f = &f;
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(k, item)| f(chunk_no * chunk_len + k, item))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => out.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
 }
 
 /// Converts a plaintext i128 into the signed big-integer domain.
@@ -526,76 +352,6 @@ mod tests {
             enc.wire_bytes(kp.public()),
             100 * kp.public().ciphertext_bytes()
         );
-    }
-
-    #[test]
-    fn parallel_row_ops_match_sequential() {
-        let kp = kp();
-        let mut rng = StdRng::seed_from_u64(14);
-        let a = IntMatrix::from_fn(3, 5, |c, b| c as i128 * 7 - b as i128 * 3);
-        let b = IntMatrix::from_fn(3, 5, |_, b| b as i128 + 1);
-        let ea = CipherMatrix::encrypt(&a, kp.public(), &mut rng);
-        let eb = CipherMatrix::encrypt(&b, kp.public(), &mut rng);
-        let k = Ibig::from(-5i64);
-        for threads in [1usize, 2, 8] {
-            assert_eq!(
-                ea.add_parallel(&eb, kp.public(), threads).ciphertexts(),
-                ea.add(&eb, kp.public()).ciphertexts(),
-                "add, {threads} threads"
-            );
-            assert_eq!(
-                ea.sub_parallel(&eb, kp.public(), threads)
-                    .unwrap()
-                    .ciphertexts(),
-                ea.sub(&eb, kp.public()).unwrap().ciphertexts(),
-                "sub, {threads} threads"
-            );
-            assert_eq!(
-                ea.scale_parallel(&k, kp.public(), threads)
-                    .unwrap()
-                    .ciphertexts(),
-                ea.scale(&k, kp.public()).unwrap().ciphertexts(),
-                "scale, {threads} threads"
-            );
-            assert_eq!(
-                ea.decrypt_parallel(kp.secret(), threads),
-                a,
-                "decrypt, {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_encrypt_and_rerandomize_are_thread_count_invariant() {
-        let kp = kp();
-        let m = IntMatrix::from_fn(2, 6, |c, b| (c * 6 + b) as i128);
-        let one =
-            CipherMatrix::encrypt_parallel(&m, kp.public(), 1, &mut StdRng::seed_from_u64(15));
-        for threads in [2usize, 8] {
-            let many = CipherMatrix::encrypt_parallel(
-                &m,
-                kp.public(),
-                threads,
-                &mut StdRng::seed_from_u64(15),
-            );
-            assert_eq!(one.ciphertexts(), many.ciphertexts(), "{threads} threads");
-        }
-        assert_eq!(one.decrypt(kp.secret()), m);
-
-        let re_one = one.rerandomize_parallel(kp.public(), 1, &mut StdRng::seed_from_u64(16));
-        for threads in [2usize, 8] {
-            let re_many =
-                one.rerandomize_parallel(kp.public(), threads, &mut StdRng::seed_from_u64(16));
-            assert_eq!(
-                re_one.ciphertexts(),
-                re_many.ciphertexts(),
-                "{threads} threads"
-            );
-        }
-        for (a, b) in one.ciphertexts().iter().zip(re_one.ciphertexts()) {
-            assert_ne!(a, b, "rerandomize must change every ciphertext");
-        }
-        assert_eq!(re_one.decrypt(kp.secret()), m);
     }
 
     #[test]

@@ -707,8 +707,8 @@ impl SessionCrypto for PaillierRsa {
 impl SdcSessionEngine<PaillierRsa> {
     /// Wraps `sdc` with the session bookkeeping. `su_keys` maps each
     /// participating SU to its Paillier key (needed for phase 2);
-    /// `workers` sizes the parallel crypto paths (byte-identical to
-    /// sequential, so purely a throughput knob); `seed` starts the
+    /// `workers` sizes the per-entry crypto fan-out (byte-identical for any
+    /// worker count, so purely a throughput knob); `seed` starts the
     /// engine's private RNG stream.
     ///
     /// # Panics

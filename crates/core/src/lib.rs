@@ -55,6 +55,7 @@ mod config;
 pub mod durable;
 mod engine;
 mod error;
+mod fanout;
 mod keys;
 mod license;
 mod messages;
@@ -86,7 +87,7 @@ pub use netstorm::{
     run_su_storm, storm_fixture, DurableOpts, NetStormOpts, SdcService, StormFixture, StpService,
 };
 pub use privacy::LocationPrivacy;
-pub use protocol::{run_request_direct, run_request_direct_tuned, RequestOutcome};
+pub use protocol::{run_request_direct, RequestOutcome};
 pub use pu::PuClient;
 pub use sdc::SdcServer;
 pub use session::{corrupt_session_frame, EngineConfig, EngineReport, SessionMsg, SessionOutcome};

@@ -7,6 +7,7 @@ use crate::stp::{StpObservation, StpServer};
 use crate::su::SuClient;
 use pisa_net::WireSize;
 use pisa_radio::tv::Channel;
+use pisa_watch::SuRequest;
 use rand::Rng;
 
 /// Result of one full transmission-request round.
@@ -35,9 +36,9 @@ impl RequestOutcome {
     }
 }
 
-/// Runs one complete request round with direct in-process calls
-/// (Figure 5 end to end): build → phase 1 → key conversion → phase 2 →
-/// SU verification.
+/// Runs one complete full-power request round with direct in-process
+/// calls (Figure 5 end to end): build → phase 1 → key conversion →
+/// phase 2 → SU verification, each phase on the caller's thread.
 ///
 /// # Errors
 ///
@@ -49,41 +50,16 @@ pub fn run_request_direct<R: Rng + ?Sized>(
     channels: &[Channel],
     rng: &mut R,
 ) -> Result<RequestOutcome, PisaError> {
-    let cfg = sdc.config().clone();
-    let request = su.build_request(&cfg, stp.public_key(), channels, rng);
-    let request_bytes = request.wire_bytes();
-
-    let to_stp = sdc.process_request_phase1(&request, rng)?;
-    let sdc_to_stp_bytes = to_stp.wire_bytes();
-
-    let (to_sdc, observation) = stp.key_convert(&to_stp, rng)?;
-    let stp_to_sdc_bytes = to_sdc.wire_bytes();
-
-    let su_pk = stp
-        .su_key(su.id())
-        .ok_or(PisaError::UnknownSu(su.id()))?
-        .clone();
-    let response = sdc.process_request_phase2(&to_sdc, &su_pk, rng)?;
-    let response_bytes = response.wire_bytes();
-
-    let granted = su.handle_response(&response, sdc.signing_public_key());
-    Ok(RequestOutcome {
-        granted,
-        license: response.license,
-        request_bytes,
-        sdc_to_stp_bytes,
-        stp_to_sdc_bytes,
-        response_bytes,
-        stp_observation: observation,
-    })
+    let request = SuRequest::full_power(sdc.config().watch(), su.block(), channels);
+    run_round(su, sdc, stp, &request, 1, rng)
 }
 
-/// [`run_request_direct`] with a worker-thread budget: `threads == 1`
-/// takes the sequential phase paths, `threads > 1` fans the SDC sign
-/// test and the STP key conversion out over that many scoped workers.
-/// Per-entry randomness is derived by index, so the outcome is
-/// byte-identical across thread counts (the `parallel_equivalence`
-/// guarantee).
+/// The one direct round behind [`run_request_direct`] and
+/// [`PisaSystem`](crate::PisaSystem)'s requests: encrypts `request`,
+/// then runs the SDC sign test and the STP key conversion on `workers`
+/// workers each, phase 2 and the SU's verification. Per-entry
+/// randomness is derived by index, so the outcome is byte-identical for
+/// any worker count (the `parallel_equivalence` guarantee).
 ///
 /// # Errors
 ///
@@ -91,34 +67,26 @@ pub fn run_request_direct<R: Rng + ?Sized>(
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`.
-pub fn run_request_direct_tuned<R: Rng + ?Sized>(
+/// Panics if `workers == 0`.
+pub(crate) fn run_round<R: Rng + ?Sized>(
     su: &mut SuClient,
     sdc: &mut SdcServer,
     stp: &StpServer,
-    channels: &[Channel],
-    threads: usize,
+    request: &SuRequest,
+    workers: usize,
     rng: &mut R,
 ) -> Result<RequestOutcome, PisaError> {
-    assert!(threads > 0, "need at least one worker");
-    if threads == 1 {
-        return run_request_direct(su, sdc, stp, channels, rng);
-    }
-    let cfg = sdc.config().clone();
-    let request = su.build_request(&cfg, stp.public_key(), channels, rng);
+    let request = su.build_request_from(sdc.config(), stp.public_key(), request, rng);
     let request_bytes = request.wire_bytes();
 
-    let to_stp = sdc.process_request_phase1_parallel(&request, threads, rng)?;
+    let to_stp = sdc.process_request_phase1_parallel(&request, workers, rng)?;
     let sdc_to_stp_bytes = to_stp.wire_bytes();
 
-    let (to_sdc, observation) = stp.key_convert_parallel(&to_stp, threads, rng)?;
+    let (to_sdc, observation) = stp.key_convert_parallel(&to_stp, workers, rng)?;
     let stp_to_sdc_bytes = to_sdc.wire_bytes();
 
-    let su_pk = stp
-        .su_key(su.id())
-        .ok_or(PisaError::UnknownSu(su.id()))?
-        .clone();
-    let response = sdc.process_request_phase2(&to_sdc, &su_pk, rng)?;
+    let su_pk = stp.su_key(su.id()).ok_or(PisaError::UnknownSu(su.id()))?;
+    let response = sdc.process_request_phase2(&to_sdc, su_pk, rng)?;
     let response_bytes = response.wire_bytes();
 
     let granted = su.handle_response(&response, sdc.signing_public_key());

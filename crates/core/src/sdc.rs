@@ -3,6 +3,7 @@
 use crate::cipher_matrix::CipherMatrix;
 use crate::config::SystemConfig;
 use crate::error::PisaError;
+use crate::fanout::{entry_rng, par_map};
 use crate::keys::SuId;
 use crate::license::License;
 use crate::messages::{PuUpdateMsg, SdcResponseMsg, SdcToStpMsg, StpToSdcMsg, SuRequestMsg};
@@ -12,7 +13,7 @@ use pisa_crypto::paillier::{Ciphertext, PaillierPublicKey, Randomizer, Randomize
 use pisa_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use pisa_radio::BlockId;
 use pisa_watch::{compute_e_matrix, IntMatrix};
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -149,8 +150,8 @@ impl SdcServer {
     }
 
     /// Pre-takes one pooled β factor per entry (empty when no pool is
-    /// attached), indexed by entry order so the sequential and parallel
-    /// phase-1 paths consume identical factors.
+    /// attached), indexed by entry order so an entry gets the same
+    /// factor for any worker count.
     fn take_beta_factors(&self, entries: usize) -> Vec<Randomizer> {
         self.beta_pool
             .as_ref()
@@ -243,78 +244,21 @@ impl SdcServer {
         self.contributions.len()
     }
 
-    /// Phase 1 of request processing (Figure 5 steps 3–5): computes
-    /// `R̃ = X ⊗ F̃` (eq. 11), `Ĩ = Ñ ⊖ R̃` (eq. 12) and the blinded
-    /// `Ṽ = ε ⊗ (α ⊗ Ĩ ⊖ β̃)` (eq. 14), remembering ε and the license
-    /// for phase 2.
+    /// Phase 1 of request processing (Figure 5 steps 3–5) on one
+    /// worker: [`process_request_phase1_parallel`] run on the caller's
+    /// thread.
     ///
     /// # Errors
     ///
-    /// [`PisaError::DimensionMismatch`] or [`PisaError::BadRegion`] on a
-    /// malformed request.
+    /// Same as [`process_request_phase1_parallel`].
+    ///
+    /// [`process_request_phase1_parallel`]: Self::process_request_phase1_parallel
     pub fn process_request_phase1<R: Rng + ?Sized>(
         &mut self,
         msg: &SuRequestMsg,
         rng: &mut R,
     ) -> Result<SdcToStpMsg, PisaError> {
-        let _span = pisa_obs::span("sign_test");
-        let region = msg.region_blocks;
-        if region == 0 || region > self.cfg.blocks() {
-            return Err(PisaError::BadRegion {
-                region_blocks: region,
-                blocks: self.cfg.blocks(),
-            });
-        }
-        if msg.f_matrix.channels() != self.cfg.channels() || msg.f_matrix.blocks() != region {
-            return Err(PisaError::DimensionMismatch {
-                got: (msg.f_matrix.channels(), msg.f_matrix.blocks()),
-                want: (self.cfg.channels(), region),
-            });
-        }
-
-        let channels = self.cfg.channels();
-        let mut v_entries = Vec::with_capacity(channels * region);
-        let mut epsilons = Vec::with_capacity(channels * region);
-
-        let base = rng.next_u64();
-        let beta_factors = self.take_beta_factors(channels * region);
-        for c in 0..channels {
-            for b in 0..region {
-                let idx = c * region + b;
-                let mut erng = entry_rng(base, idx);
-                let (v, eps) = self.blind_entry(
-                    msg.f_matrix.get(c, b),
-                    (c, b),
-                    beta_factors.get(idx),
-                    &mut erng,
-                )?;
-                v_entries.push(v);
-                epsilons.push(eps);
-            }
-        }
-
-        let license = License {
-            su_id: msg.su_id,
-            issuer: self.issuer.clone(),
-            request_digest: License::digest_request(msg.f_matrix.ciphertexts()),
-            serial: self.serial,
-        };
-        self.serial += 1;
-        self.pending.insert(
-            msg.su_id,
-            PendingRequest {
-                license,
-                epsilons,
-                region_blocks: region,
-            },
-        );
-
-        Ok(SdcToStpMsg {
-            su_id: msg.su_id,
-            v_matrix: CipherMatrix::from_ciphertexts(channels, region, v_entries),
-            region_blocks: region,
-            ct_bytes: self.pk_g.ciphertext_bytes(),
-        })
+        self.process_request_phase1_parallel(msg, 1, rng)
     }
 
     /// Eqs. (11)–(14) for one entry: `R = X ⊗ F`, `I = N ⊖ R`,
@@ -354,33 +298,36 @@ impl SdcServer {
         Ok((v, factors.epsilon))
     }
 
-    /// Parallel variant of [`process_request_phase1`]: splits the
-    /// entries across `threads` worker threads. The paper notes that a
-    /// production SDC "would normally utilize a much more powerful
-    /// hardware and can process the transmission request much faster" —
-    /// the per-entry work is embarrassingly parallel, so this scales
-    /// nearly linearly with cores.
+    /// Phase 1 of request processing (Figure 5 steps 3–5): computes
+    /// `R̃ = X ⊗ F̃` (eq. 11), `Ĩ = Ñ ⊖ R̃` (eq. 12) and the blinded
+    /// `Ṽ = ε ⊗ (α ⊗ Ĩ ⊖ β̃)` (eq. 14), remembering ε and the license
+    /// for phase 2.
     ///
-    /// Randomness is derived *per entry* from a single draw on `rng`
-    /// (splitmix64 over the draw and the entry index), so the output is
-    /// byte-identical to the sequential path for any thread count.
+    /// The entries split across `workers` scoped threads; one worker
+    /// runs on the caller's thread. The paper notes that a production
+    /// SDC "would normally utilize a much more powerful hardware and can
+    /// process the transmission request much faster" — the per-entry
+    /// work is embarrassingly parallel, so this scales nearly linearly
+    /// with cores. Randomness is derived *per entry* from a single draw
+    /// on `rng`, so the output is byte-identical for any worker count.
     ///
     /// # Errors
     ///
-    /// Same validation as [`process_request_phase1`].
+    /// [`PisaError::DimensionMismatch`] or [`PisaError::BadRegion`] on a
+    /// malformed request, [`PisaError::Crypto`] on a non-unit
+    /// (adversarial) `F̃` entry, and [`PisaError::EngineFailure`] if a
+    /// worker panics. A failed request leaves no pending session and
+    /// uses up no license serial.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`.
-    ///
-    /// [`process_request_phase1`]: Self::process_request_phase1
+    /// Panics if `workers == 0`.
     pub fn process_request_phase1_parallel<R: Rng + ?Sized>(
         &mut self,
         msg: &SuRequestMsg,
-        threads: usize,
+        workers: usize,
         rng: &mut R,
     ) -> Result<SdcToStpMsg, PisaError> {
-        assert!(threads > 0, "need at least one worker");
         let _span = pisa_obs::span("sign_test");
         let region = msg.region_blocks;
         if region == 0 || region > self.cfg.blocks() {
@@ -396,65 +343,30 @@ impl SdcServer {
             });
         }
 
-        let channels = self.cfg.channels();
-        let indices: Vec<(usize, usize)> = (0..channels)
-            .flat_map(|c| (0..region).map(move |b| (c, b)))
-            .collect();
-        let chunk_len = indices.len().div_ceil(threads).max(1);
+        let f_cts = msg.f_matrix.ciphertexts();
         let base = rng.next_u64();
-        let beta_factors = self.take_beta_factors(indices.len());
+        let beta_factors = self.take_beta_factors(f_cts.len());
+        // Every entry gets the same derived RNG — and the same pooled β
+        // factor, if any — whichever worker it lands on.
+        let entries = par_map(
+            f_cts,
+            workers,
+            "phase-1 blinding worker panicked",
+            |idx, f_ct| {
+                self.blind_entry(
+                    f_ct,
+                    (idx / region, idx % region),
+                    beta_factors.get(idx),
+                    &mut entry_rng(base, idx),
+                )
+            },
+        )?;
+        let (v_entries, epsilons): (Vec<_>, Vec<_>) = entries.into_iter().unzip();
 
-        // Immutable fan-out over &self; results keep entry order, and
-        // every entry gets the same derived RNG — and the same pooled β
-        // factor, if any — it would get on the sequential path,
-        // regardless of which chunk it lands in. Every handle is joined
-        // before any error is propagated so a poisoned worker cannot
-        // leak past the scope.
-        let results: Result<Vec<(Ciphertext, SignFlip)>, PisaError> = std::thread::scope(|scope| {
-            let handles: Vec<_> = indices
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(chunk_no, chunk)| {
-                    let this = &*self;
-                    let f = &msg.f_matrix;
-                    let beta_factors = &beta_factors;
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(k, &(c, b))| {
-                                let idx = chunk_no * chunk_len + k;
-                                let mut erng = entry_rng(base, idx);
-                                this.blind_entry(
-                                    f.get(c, b),
-                                    (c, b),
-                                    beta_factors.get(idx),
-                                    &mut erng,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut entries = Vec::with_capacity(indices.len());
-            let mut worker_died = false;
-            for handle in handles {
-                match handle.join() {
-                    Ok(chunk) => entries.extend(chunk),
-                    Err(_) => worker_died = true,
-                }
-            }
-            if worker_died {
-                return Err(PisaError::EngineFailure("phase-1 blinding worker panicked"));
-            }
-            entries.into_iter().collect()
-        });
-
-        let (v_entries, epsilons): (Vec<_>, Vec<_>) = results?.into_iter().unzip();
         let license = License {
             su_id: msg.su_id,
             issuer: self.issuer.clone(),
-            request_digest: License::digest_request(msg.f_matrix.ciphertexts()),
+            request_digest: License::digest_request(f_cts),
             serial: self.serial,
         };
         self.serial += 1;
@@ -468,7 +380,7 @@ impl SdcServer {
         );
         Ok(SdcToStpMsg {
             su_id: msg.su_id,
-            v_matrix: CipherMatrix::from_ciphertexts(channels, region, v_entries),
+            v_matrix: CipherMatrix::from_ciphertexts(self.cfg.channels(), region, v_entries),
             region_blocks: region,
             ct_bytes: self.pk_g.ciphertext_bytes(),
         })
@@ -819,18 +731,6 @@ fn widen(v: u32) -> usize {
     v as usize // pisa-lint: allow(panic-freedom): u32 → usize never truncates
 }
 
-/// Derives the RNG for one matrix entry from a single base draw
-/// (splitmix64 over `base` and the flat entry index). Both the
-/// sequential and the parallel request paths use this, so their outputs
-/// are byte-identical for any thread count.
-pub(crate) fn entry_rng(base: u64, index: usize) -> rand::rngs::StdRng {
-    let mut z = base ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    rand::rngs::StdRng::seed_from_u64(z ^ (z >> 31))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -994,6 +894,46 @@ mod tests {
                 "pooled phase 1 diverged with {threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn hostile_f_entry_fails_phase1_without_side_effects() {
+        let (cfg, mut stp, mut sdc, mut rng) = setup();
+        let mut bystander = SuClient::new(SuId(7), BlockId(0), &cfg, &mut rng);
+        let mut su = SuClient::new(SuId(8), BlockId(0), &cfg, &mut rng);
+        stp.register_su(SuId(8), su.public_key().clone());
+        let pending = bystander.build_request(&cfg, stp.public_key(), &[Channel(0)], &mut rng);
+        sdc.process_request_phase1(&pending, &mut rng).unwrap();
+
+        // E(F) = 0 is a non-unit mod n², so `sub` in eq. (12) fails on it.
+        let honest = su.build_request(&cfg, stp.public_key(), &[Channel(0)], &mut rng);
+        let mut cts = honest.f_matrix.ciphertexts().to_vec();
+        let hostile_at = cts.len() / 2 + 1;
+        cts[hostile_at] = Ciphertext::from_raw(Ubig::zero());
+        let hostile = SuRequestMsg {
+            f_matrix: CipherMatrix::from_ciphertexts(cfg.channels(), honest.region_blocks, cts),
+            ..honest.clone()
+        };
+        for workers in [1usize, 2, 8] {
+            assert_eq!(
+                sdc.process_request_phase1_parallel(&hostile, workers, &mut rng)
+                    .unwrap_err(),
+                PisaError::Crypto(pisa_crypto::CryptoError::MalformedCiphertext),
+                "workers = {workers}"
+            );
+            assert_eq!(sdc.pending_sessions(), 1, "workers = {workers}");
+        }
+
+        // The failed attempts used up no serial: the bystander holds 0,
+        // so the next honest request gets 1.
+        let to_stp = sdc.process_request_phase1(&honest, &mut rng).unwrap();
+        assert_eq!(sdc.pending_sessions(), 2);
+        let (reply, _) = stp.key_convert(&to_stp, &mut rng).unwrap();
+        let response = sdc
+            .process_request_phase2(&reply, su.public_key(), &mut rng)
+            .unwrap();
+        assert_eq!(response.license.serial, 1);
+        assert!(su.handle_response(&response, sdc.signing_public_key()));
     }
 
     #[test]

@@ -152,9 +152,9 @@ pub struct EngineConfig {
     /// Poll granularity of the networked service loops (how often they
     /// check for shutdown while idle).
     pub poll: Duration,
-    /// Worker threads the SDC and STP spend on per-entry crypto. The
-    /// parallel paths are byte-identical to sequential, so this is a
-    /// pure throughput knob. Must be at least 1.
+    /// Worker threads the SDC and STP spend on per-entry crypto. Each
+    /// phase's output is byte-identical for any worker count, so this
+    /// is a pure throughput knob. Must be at least 1.
     pub workers: usize,
 }
 

@@ -2,6 +2,7 @@
 
 use crate::cipher_matrix::CipherMatrix;
 use crate::error::PisaError;
+use crate::fanout::{entry_rng, par_map};
 use crate::keys::{GlobalKeys, SuId, SuKeyDirectory};
 use crate::messages::{SdcToStpMsg, StpToSdcMsg};
 use pisa_bigint::Ibig;
@@ -85,8 +86,8 @@ impl StpServer {
     }
 
     /// Pre-takes one pooled factor per entry (empty when the SU has no
-    /// pool), indexed by entry order so the sequential and parallel
-    /// conversion paths consume identical factors.
+    /// pool), indexed by entry order so an entry gets the same factor
+    /// for any worker count.
     fn take_su_factors(&self, id: SuId, entries: usize) -> Vec<Randomizer> {
         self.pools
             .get(&id)
@@ -202,82 +203,48 @@ impl StpServer {
         m.decrypt(self.global.secret())
     }
 
+    /// Key conversion (Figure 5 steps 6–8) on one worker:
+    /// [`key_convert_parallel`] run on the caller's thread.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`key_convert_parallel`].
+    ///
+    /// [`key_convert_parallel`]: Self::key_convert_parallel
+    pub fn key_convert<R: Rng + ?Sized>(
+        &self,
+        msg: &SdcToStpMsg,
+        rng: &mut R,
+    ) -> Result<(StpToSdcMsg, StpObservation), PisaError> {
+        self.key_convert_parallel(msg, 1, rng)
+    }
+
     /// Key conversion (Figure 5 steps 6–8): decrypts each blinded
     /// `Ṽ(c,i)`, maps it to `X = ±1` by sign (eq. 15), and re-encrypts
     /// `X` under the SU's own key.
+    ///
+    /// The entries split across `workers` scoped threads; one worker
+    /// runs on the caller's thread. Entry order is preserved, and
+    /// randomness is derived *per entry* from a single draw on `rng`, so
+    /// the reply is byte-identical for any worker count.
     ///
     /// Returns the reply for the SDC together with the observation
     /// record (what a curious STP would have learned).
     ///
     /// # Errors
     ///
-    /// [`PisaError::UnknownSu`] if the SU never registered a key.
-    pub fn key_convert<R: Rng + ?Sized>(
-        &self,
-        msg: &SdcToStpMsg,
-        rng: &mut R,
-    ) -> Result<(StpToSdcMsg, StpObservation), PisaError> {
-        let _span = pisa_obs::span("key_conversion");
-        let su_pk = self
-            .directory
-            .lookup(msg.su_id)
-            .ok_or(PisaError::UnknownSu(msg.su_id))?;
-
-        let mut v_values = Vec::with_capacity(msg.v_matrix.len());
-        let mut x_entries = Vec::with_capacity(msg.v_matrix.len());
-        let base = rng.next_u64();
-        let factors = self.take_su_factors(msg.su_id, msg.v_matrix.len());
-        for (idx, ct) in msg.v_matrix.ciphertexts().iter().enumerate() {
-            let mut erng = crate::sdc::entry_rng(base, idx);
-            let v = self.global.secret().decrypt(ct);
-            let x = if v.is_positive() {
-                Ibig::from(1i64)
-            } else {
-                Ibig::from(-1i64)
-            };
-            x_entries.push(match factors.get(idx) {
-                Some(f) => su_pk.encrypt_with_randomizer(&x, f),
-                None => su_pk.encrypt(&x, &mut erng),
-            });
-            v_values.push(v);
-        }
-
-        Ok((
-            StpToSdcMsg {
-                su_id: msg.su_id,
-                x_matrix: CipherMatrix::from_ciphertexts(
-                    msg.v_matrix.channels(),
-                    msg.v_matrix.blocks(),
-                    x_entries,
-                ),
-                region_blocks: msg.region_blocks,
-                ct_bytes: su_pk.ciphertext_bytes(),
-            },
-            StpObservation { v_values },
-        ))
-    }
-
-    /// Parallel key conversion: the per-entry decrypt + re-encrypt work
-    /// is independent, so it splits across `threads` worker threads.
-    /// Entry order is preserved, and randomness is derived *per entry*
-    /// from a single draw on `rng`, so the reply is byte-identical to
-    /// the sequential path for any thread count.
-    ///
-    /// # Errors
-    ///
     /// [`PisaError::UnknownSu`] if the SU never registered a key, and
-    /// [`PisaError::EngineFailure`] if a worker thread panics.
+    /// [`PisaError::EngineFailure`] if a worker panics.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`.
+    /// Panics if `workers == 0`.
     pub fn key_convert_parallel<R: Rng + ?Sized>(
         &self,
         msg: &SdcToStpMsg,
-        threads: usize,
+        workers: usize,
         rng: &mut R,
     ) -> Result<(StpToSdcMsg, StpObservation), PisaError> {
-        assert!(threads > 0, "need at least one worker");
         let _span = pisa_obs::span("key_conversion");
         let su_pk = self
             .directory
@@ -285,61 +252,24 @@ impl StpServer {
             .ok_or(PisaError::UnknownSu(msg.su_id))?;
 
         let cts = msg.v_matrix.ciphertexts();
-        let chunk_len = cts.len().div_ceil(threads).max(1);
         let base = rng.next_u64();
-        // Pre-take the pooled factors before the fan-out, indexed by entry
-        // order, so a pooled parallel conversion is byte-identical to the
-        // pooled sequential one regardless of thread count.
         let factors = self.take_su_factors(msg.su_id, cts.len());
-        let factors = &factors;
+        let sk = self.global.secret();
+        let entries = par_map(cts, workers, "key-conversion worker panicked", |idx, ct| {
+            let v = sk.decrypt(ct);
+            let x = if v.is_positive() {
+                Ibig::from(1i64)
+            } else {
+                Ibig::from(-1i64)
+            };
+            let x_ct = match factors.get(idx) {
+                Some(f) => su_pk.encrypt_with_randomizer(&x, f),
+                None => su_pk.encrypt(&x, &mut entry_rng(base, idx)),
+            };
+            Ok((x_ct, v))
+        })?;
 
-        let results: Result<Vec<(pisa_crypto::paillier::Ciphertext, Ibig)>, PisaError> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = cts
-                    .chunks(chunk_len)
-                    .enumerate()
-                    .map(|(chunk_no, chunk)| {
-                        let sk = self.global.secret();
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .map(|(k, ct)| {
-                                    let idx = chunk_no * chunk_len + k;
-                                    let mut erng = crate::sdc::entry_rng(base, idx);
-                                    let v = sk.decrypt(ct);
-                                    let x = if v.is_positive() {
-                                        Ibig::from(1i64)
-                                    } else {
-                                        Ibig::from(-1i64)
-                                    };
-                                    let ct = match factors.get(idx) {
-                                        Some(f) => su_pk.encrypt_with_randomizer(&x, f),
-                                        None => su_pk.encrypt(&x, &mut erng),
-                                    };
-                                    (ct, v)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                // Join every handle before reporting a dead worker so the
-                // scope never re-raises a swallowed panic.
-                let mut entries = Vec::with_capacity(cts.len());
-                let mut worker_died = false;
-                for handle in handles {
-                    match handle.join() {
-                        Ok(chunk) => entries.extend(chunk),
-                        Err(_) => worker_died = true,
-                    }
-                }
-                if worker_died {
-                    return Err(PisaError::EngineFailure("key-conversion worker panicked"));
-                }
-                Ok(entries)
-            });
-
-        let (x_entries, v_values): (Vec<_>, Vec<_>) = results?.into_iter().unzip();
+        let (x_entries, v_values): (Vec<_>, Vec<_>) = entries.into_iter().unzip();
         Ok((
             StpToSdcMsg {
                 su_id: msg.su_id,

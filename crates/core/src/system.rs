@@ -4,7 +4,7 @@ use crate::config::SystemConfig;
 use crate::error::PisaError;
 use crate::keys::SuId;
 use crate::privacy::LocationPrivacy;
-use crate::protocol::{run_request_direct_tuned, RequestOutcome};
+use crate::protocol::{run_round, RequestOutcome};
 use crate::pu::PuClient;
 use crate::sdc::SdcServer;
 use crate::stp::StpServer;
@@ -37,7 +37,8 @@ pub struct PisaSystem {
     pus: HashMap<u64, PuClient>,
     sus: HashMap<SuId, SuClient>,
     next_su: u32,
-    /// Worker threads per phase fan-out; 1 = sequential paths.
+    /// Workers per phase fan-out; 1 runs each phase on the caller's
+    /// thread.
     threads: usize,
     /// When set, randomizer pools of this capacity are kept primed for
     /// the SDC's β blinding and each registered SU's key conversion.
@@ -212,16 +213,10 @@ impl PisaSystem {
         channels: &[Channel],
         rng: &mut R,
     ) -> RequestOutcome {
-        let su_client = self.sus.get_mut(&su).expect("registered SU");
-        run_request_direct_tuned(
-            su_client,
-            &mut self.sdc,
-            &self.stp,
-            channels,
-            self.threads,
-            rng,
-        )
-        .expect("self-consistent system")
+        let block = self.sus.get(&su).expect("registered SU").block();
+        let request = SuRequest::full_power(self.cfg.watch(), block, channels);
+        self.request_with(su, &request, rng)
+            .expect("self-consistent system")
     }
 
     /// Runs a request with explicit per-channel EIRP.
@@ -236,37 +231,14 @@ impl PisaSystem {
         rng: &mut R,
     ) -> Result<RequestOutcome, PisaError> {
         let su_client = self.sus.get_mut(&su).ok_or(PisaError::UnknownSu(su))?;
-        let cfg = self.cfg.clone();
-        let msg = su_client.build_request_from(&cfg, self.stp.public_key(), request, rng);
-        let request_bytes = pisa_net::WireSize::wire_bytes(&msg);
-
-        let to_stp = if self.threads == 1 {
-            self.sdc.process_request_phase1(&msg, rng)?
-        } else {
-            self.sdc
-                .process_request_phase1_parallel(&msg, self.threads, rng)?
-        };
-        let sdc_to_stp_bytes = pisa_net::WireSize::wire_bytes(&to_stp);
-        let (to_sdc, observation) = if self.threads == 1 {
-            self.stp.key_convert(&to_stp, rng)?
-        } else {
-            self.stp.key_convert_parallel(&to_stp, self.threads, rng)?
-        };
-        let stp_to_sdc_bytes = pisa_net::WireSize::wire_bytes(&to_sdc);
-        let su_pk = self.stp.su_key(su).ok_or(PisaError::UnknownSu(su))?.clone();
-        let response = self.sdc.process_request_phase2(&to_sdc, &su_pk, rng)?;
-        let response_bytes = pisa_net::WireSize::wire_bytes(&response);
-        let su_client = self.sus.get(&su).expect("registered SU");
-        let granted = su_client.handle_response(&response, self.sdc.signing_public_key());
-        Ok(RequestOutcome {
-            granted,
-            license: response.license,
-            request_bytes,
-            sdc_to_stp_bytes,
-            stp_to_sdc_bytes,
-            response_bytes,
-            stp_observation: observation,
-        })
+        run_round(
+            su_client,
+            &mut self.sdc,
+            &self.stp,
+            request,
+            self.threads,
+            rng,
+        )
     }
 }
 
